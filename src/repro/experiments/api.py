@@ -35,6 +35,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
+from repro.ssd.config import SsdConfig
+
 #: The named parameter profiles every experiment understands.  ``full`` is
 #: the declared defaults (paper-scale, minutes to hours), ``fast`` completes
 #: in seconds-to-a-minute per experiment, ``smoke`` is CI-sized.
@@ -409,6 +411,13 @@ def register_experiment(name: Optional[str] = None, *,
     return DEFAULT_EXPERIMENT_REGISTRY.register_experiment(
         name, artifact=artifact, tags=tags, params=params,
         overwrite=overwrite)
+
+
+def default_experiment_config(**overrides) -> SsdConfig:
+    """The scaled-down SSD used by the system-level experiments."""
+    defaults = dict(blocks_per_plane=24, pages_per_block=48)
+    defaults.update(overrides)
+    return SsdConfig.scaled(**defaults)
 
 
 #: Modules whose import populates the default registry, in presentation

@@ -30,7 +30,7 @@ from repro.sim.registry import default_registry
 from repro.sim.spec import WorkloadSpec
 from repro.sim.sweep import pool_map
 from repro.ssd.config import SsdConfig
-from repro.ssd.controller import SsdSimulator
+from repro.ssd.controller import aged_simulator
 from repro.ssd.metrics import SimulationMetrics
 
 #: Fraction of the logical space preconditioned as cold data.  Low enough
@@ -65,15 +65,13 @@ def _run_workload(payload: dict) -> Tuple[str, Dict[str, tuple]]:
     config = SsdConfig.from_dict(payload["config"])
     spec = WorkloadSpec.from_dict(payload["workload"])
     rpt = ReadTimingParameterTable.default()
-    registry = default_registry()
     requests = spec.build_requests(config)
     cell: Dict[str, tuple] = {}
     for name in payload["policies"]:
-        policy = registry.create(name, timing=config.timing, rpt=rpt)
-        simulator = SsdSimulator(config=config, policy=policy, rpt=rpt)
-        simulator.precondition(pe_cycles=payload["pe_cycles"],
-                               retention_months=payload["retention_months"],
-                               fill_fraction=FILL_FRACTION)
+        simulator = aged_simulator(name, config, rpt,
+                                   pe_cycles=payload["pe_cycles"],
+                                   retention_months=payload["retention_months"],
+                                   fill_fraction=FILL_FRACTION)
         result = simulator.run(requests)
         cell[result.policy_name] = (result,
                                     simulator.distinct_read_conditions)

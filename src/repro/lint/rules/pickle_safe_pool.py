@@ -1,10 +1,11 @@
 """``pickle-safe-pool``: pool fan-out callables must be module-level.
 
-``pool_map`` pickles the worker callable into each pool process.  Lambdas,
-functions defined inside other functions, and ``self.method`` references
-either fail to pickle outright or drag a whole instance across the process
-boundary — and both failure modes appear only when ``processes > 1``, far
-from the code that introduced them.  The rule flags such callables at the
+``pool_map`` (the module function and the ``WorkerPool.pool_map`` method a
+fleet reuses across shards) pickles the worker callable into each pool
+process.  Lambdas, functions defined inside other functions, and
+``self.method`` references either fail to pickle outright or drag a whole
+instance across the process boundary — and both failure modes appear only
+when ``processes > 1``, far from the code that introduced them.  The rule flags such callables at the
 call site of any configured pool entry point (``pool-entry-points`` in
 ``[tool.repro-lint]``, default ``pool_map``); ``functools.partial`` is
 allowed as long as the wrapped callable is itself module-level.

@@ -11,9 +11,10 @@ simulator:
 * :mod:`repro.sim.session` — the fluent :class:`Simulation` builder
   (``Simulation(config).policy("PnAR2").workload("ycsb-a", n=800)``
   ``.condition(pec=2000, months=6).run()``);
-* :mod:`repro.sim.sweep` — :class:`SweepRunner`, which executes
-  (workload x condition x policy) grids across a multiprocessing pool and
-  returns a tidy :class:`SweepResult`;
+* :mod:`repro.sim.sweep` — the dispatch core every fan-out shares
+  (:class:`WorkerPool`/:func:`pool_map`) and :class:`SweepRunner`, which
+  executes (workload x condition x policy) grids across it and returns a
+  tidy :class:`SweepResult`;
 * :mod:`repro.sim.fleet` — :class:`FleetSpec`/:class:`FleetRunner`, which
   stripe an array-level workload (optionally a multi-tenant
   :class:`~repro.workloads.tenants.TenantMix`) across N simulated SSDs,

@@ -13,10 +13,10 @@ the array sustain under a p99 SLO?".  This module answers both:
 * :class:`FleetRunner` — shards any array-level workload (a
   :class:`~repro.sim.spec.WorkloadSpec`, a multi-tenant
   :class:`~repro.workloads.tenants.TenantMix`, or an explicit request list)
-  across per-device :class:`~repro.ssd.controller.SsdSimulator` instances
-  via the striping router.  Every device worker regenerates its own shard
-  from the spec, so nothing is materialized in the parent and
-  ``processes=N`` is bitwise-identical to serial;
+  across per-device simulators via the striping router.  Every device
+  worker regenerates its own shard from the spec, so nothing is
+  materialized in the parent and ``processes=N`` is bitwise-identical to
+  serial;
 * :class:`FleetResult` — array-level metrics from
   :meth:`~repro.ssd.metrics.LatencyHistogram.merge`: overall and per-tenant
   p50/p99/p999, per-device utilization skew;
@@ -26,14 +26,14 @@ the array sustain under a p99 SLO?".  This module answers both:
   ``Simulation.fleet(n).slo(p99_us=...)`` and the ``fleet_capacity``
   experiment.
 
-Rack-scale mechanics (the three levers that keep 10k-device fleets
-tractable):
+The runner is a thin front-end over the dispatch core it shares with
+:class:`~repro.sim.sweep.SweepRunner` (see :mod:`repro.sim.sweep`): one
+:class:`~repro.sim.sweep.WorkerPool`, one retry-grid slab transport
+(:func:`~repro.ssd.slab_transport.grid_transport`, shared memory with an
+inline fallback) and one aged-device builder
+(:func:`~repro.ssd.controller.aged_simulator`).  What stays fleet-only are
+the two levers that keep 10k-device fleets tractable:
 
-* **Shared-memory slab transport** — the parent prefills the fleet's
-  retry-step slabs once and publishes them through
-  :mod:`repro.ssd.slab_transport`; worker payloads carry a tiny descriptor
-  instead of per-payload pickled arrays, with a transparent fallback to the
-  inline pickle path when shared memory is unavailable.
 * **Sharded streaming execution** — devices are dispatched in bounded
   shards (``shard_devices``, default :data:`DEFAULT_SHARD_DEVICES`) and each
   device's metrics are folded into the running :class:`FleetResult` as they
@@ -65,12 +65,12 @@ from repro.sim.registry import default_registry
 from repro.sim.spec import Condition, WorkloadSpec
 from repro.sim.sweep import DEFAULT_MEAN_INTERARRIVAL_US, WorkerPool, _default_rpt
 from repro.ssd.config import SsdConfig
-from repro.ssd.controller import DEFAULT_LOOKAHEAD_REQUESTS, SimulationResult, SsdSimulator
+from repro.ssd.controller import DEFAULT_LOOKAHEAD_REQUESTS, SimulationResult, aged_simulator
 from repro.ssd.faults import FaultPlan
 from repro.ssd.metrics import SimulationMetrics
 from repro.ssd.request import HostRequest
-from repro.ssd.retry_grid import rpt_fingerprint, shared_grid
-from repro.ssd.slab_transport import payload_slabs, publish_slabs
+from repro.ssd.retry_grid import rpt_fingerprint
+from repro.ssd.slab_transport import grid_transport, install_payload_slabs
 from repro.workloads.router import StripeRouter
 from repro.workloads.source import is_workload_source, source_from_dict, source_to_dict
 from repro.workloads.tenants import TenantMix
@@ -242,29 +242,19 @@ def _run_fleet_device(payload: dict) -> Tuple[str, int, SimulationResult]:
     device = payload["device"]
     policy_name = payload["policy"]
     rpt = payload.get("rpt") or _default_rpt()
-    config = spec.config
-    slabs = payload_slabs(payload)
-    if slabs:
-        # Install the parent-built retry-step slabs into this process's
-        # shared grid instead of recomputing them per worker (a fork-start
-        # worker usually inherited them already; install_slabs then no-ops).
-        shared_grid(config, rpt).install_slabs(slabs)
-    policy = default_registry().create(policy_name, timing=config.timing, rpt=rpt)
-    simulator = SsdSimulator(
-        config=config,
-        policy=policy,
-        rpt=rpt,
-        device_id=device,
-        track_tenants=_payload_tracks_tenants(payload),
-    )
+    install_payload_slabs(payload, spec.config, rpt)
     condition = spec.device_condition(device)
-    simulator.precondition(
+    simulator = aged_simulator(
+        policy_name,
+        spec.config,
+        rpt,
         pe_cycles=condition.pe_cycles,
         retention_months=condition.retention_months,
         fill_fraction=condition.fill_fraction,
+        faults=FaultPlan.from_dict(payload["faults"]) if payload.get("faults") else None,
+        device_id=device,
+        track_tenants=_payload_tracks_tenants(payload),
     )
-    if payload.get("faults"):
-        simulator.install_faults(FaultPlan.from_dict(payload["faults"]))
     if "device_requests" in payload:
         # Explicit lists were sorted and sharded once in the parent; the
         # payload already holds this device's own sub-requests.
@@ -506,42 +496,6 @@ class FleetRunner:
             for start in range(0, self.spec.devices, self.shard_devices)
         ]
 
-    def _slab_transport(self):
-        """Prefill the fleet's retry-step slabs once and pick a transport.
-
-        Returns ``(segment, inline_slabs)``: a published
-        :class:`~repro.ssd.slab_transport.SlabSegment` (inline ``None``)
-        when shared memory works, else ``(None, exports)`` for the pickle
-        path.  Every device reads cold data at its condition and rewritten
-        data at (P/E, 0), so both pairs are prefilled per distinct
-        condition, in device order (deterministic slab layout).
-        """
-        rpt = self.rpt or _default_rpt()
-        grid = shared_grid(self.spec.config, rpt)
-        pairs: List[Tuple[int, float]] = []
-        seen = set()
-        for device in range(self.spec.devices):
-            condition = self.spec.device_condition(device)
-            for pair in (
-                (condition.pe_cycles, float(condition.retention_months)),
-                (condition.pe_cycles, 0.0),
-            ):
-                if pair not in seen:
-                    seen.add(pair)
-                    pairs.append(pair)
-        exports = []
-        for pair in pairs:
-            # Export each slab immediately after its prefill: a fleet with
-            # more conditions than the grid's slab bound would otherwise
-            # evict early slabs before a batch export reads them.
-            grid.prefill([pair])
-            exports.extend(grid.export_slabs([pair]))
-        if self.use_shared_memory:
-            segment = publish_slabs(exports)
-            if segment is not None:
-                return segment, None
-        return None, exports
-
     # -- execution -------------------------------------------------------------
     def run(
         self,
@@ -610,96 +564,88 @@ class FleetRunner:
                 base_params["requests_digest"] = _requests_digest(ordered)
         checkpoint_hits = 0
         checkpoint_stored = 0
-        segment, inline_slabs = self._slab_transport()
-        if segment is not None:
-            transport = {"grid_segment": segment.descriptor}
-        elif inline_slabs:
-            transport = {"grid_slabs": inline_slabs}
-        else:
-            transport = {}
-        shard_ranges = self._shard_ranges()
-        try:
-            with WorkerPool(self.processes) as pool:
-                for policy in policy_names:
-                    collector = results[policy]
-                    for shard_index, device_range in enumerate(shard_ranges):
-                        params = None
-                        restored = None
-                        if base_params is not None:
-                            params = dict(
-                                base_params,
-                                policy=policy,
-                                shard=shard_index,
-                                devices=[device_range.start, device_range.stop],
-                            )
-                            restored = self.checkpoint.load(FLEET_SHARD_KIND, params)
-                        started = time.perf_counter()  # repro-lint: disable=no-wall-clock
-                        if restored is not None:
-                            for device, state in zip(restored["devices"], restored["metrics"]):
-                                collector.absorb_device(
-                                    int(device), SimulationMetrics.from_state(state)
-                                )
-                            checkpoint_hits += 1
-                            logger.info(
-                                "fleet shard %d (policy %s, devices %d..%d) "
-                                "served from checkpoint",
-                                shard_index,
-                                policy,
-                                device_range.start,
-                                device_range.stop - 1,
-                            )
-                        else:
-                            payloads = [
-                                dict(
-                                    source_payload,
-                                    fleet=fleet_dict,
-                                    device=device,
-                                    policy=policy,
-                                    rpt=self.rpt,
-                                    lookahead=lookahead,
-                                    **({"faults": fault_plan.to_dict()} if fault_plan else {}),
-                                    **(
-                                        {"device_requests": shards[device]}
-                                        if shards is not None
-                                        else {}
-                                    ),
-                                    **transport,
-                                )
-                                for device in device_range
-                            ]
-                            devices: List[int] = []
-                            states: List[dict] = []
-                            for _, device, result in pool.map(_run_fleet_device, payloads):
-                                if params is not None:
-                                    devices.append(device)
-                                    states.append(result.metrics.to_state())
-                                collector.absorb_device(device, result.metrics)
-                            if params is not None:
-                                self.checkpoint.save(
-                                    FLEET_SHARD_KIND,
-                                    params,
-                                    {"devices": devices, "metrics": states},
-                                )
-                                checkpoint_stored += 1
-                        elapsed = time.perf_counter() - started  # repro-lint: disable=no-wall-clock
-                        collector.shard_timings.append(
-                            FleetShardTiming(
-                                index=shard_index,
-                                policy=policy,
-                                devices=len(device_range),
-                                elapsed_s=elapsed,
-                                from_checkpoint=restored is not None,
-                            )
+        conditions = (self.spec.device_condition(device) for device in range(self.spec.devices))
+        slabs = grid_transport(
+            self.spec.config, self.rpt or _default_rpt(), conditions, self.use_shared_memory
+        )
+        with slabs as transport, WorkerPool(self.processes) as pool:
+            for policy in policy_names:
+                collector = results[policy]
+                common = dict(
+                    source_payload,
+                    fleet=fleet_dict,
+                    policy=policy,
+                    rpt=self.rpt,
+                    lookahead=lookahead,
+                    **({"faults": fault_plan.to_dict()} if fault_plan else {}),
+                    **transport,
+                )
+                for shard_index, device_range in enumerate(self._shard_ranges()):
+                    params = None
+                    restored = None
+                    if base_params is not None:
+                        params = dict(
+                            base_params,
+                            policy=policy,
+                            shard=shard_index,
+                            devices=[device_range.start, device_range.stop],
                         )
-        finally:
-            if segment is not None:
-                segment.close()
+                        restored = self.checkpoint.load(FLEET_SHARD_KIND, params)
+                    started = time.perf_counter()  # repro-lint: disable=no-wall-clock
+                    if restored is not None:
+                        for device, state in zip(restored["devices"], restored["metrics"]):
+                            collector.absorb_device(
+                                int(device), SimulationMetrics.from_state(state)
+                            )
+                        checkpoint_hits += 1
+                        logger.info(
+                            "fleet shard %d (policy %s, devices %d..%d) served from checkpoint",
+                            shard_index,
+                            policy,
+                            device_range.start,
+                            device_range.stop - 1,
+                        )
+                    else:
+                        payloads = [
+                            dict(
+                                common,
+                                device=device,
+                                **(
+                                    {"device_requests": shards[device]}
+                                    if shards is not None
+                                    else {}
+                                ),
+                            )
+                            for device in device_range
+                        ]
+                        states: List[dict] = []
+                        for _, device, result in pool.pool_map(_run_fleet_device, payloads):
+                            if params is not None:
+                                states.append(result.metrics.to_state())
+                            collector.absorb_device(device, result.metrics)
+                        if params is not None:
+                            self.checkpoint.save(
+                                FLEET_SHARD_KIND,
+                                params,
+                                {"devices": list(device_range), "metrics": states},
+                            )
+                            checkpoint_stored += 1
+                    elapsed = time.perf_counter() - started  # repro-lint: disable=no-wall-clock
+                    collector.shard_timings.append(
+                        FleetShardTiming(
+                            index=shard_index,
+                            policy=policy,
+                            devices=len(device_range),
+                            elapsed_s=elapsed,
+                            from_checkpoint=restored is not None,
+                        )
+                    )
         manifest = {
             "fleet": fleet_dict,
             "source": manifest_source,
             "policies": list(policy_names),
             "shard_devices": self.shard_devices,
-            "slab_transport": "shared_memory" if segment is not None else "inline",
+            "slab_transport": "shared_memory" if "grid_segment" in transport else "inline",
         }
         if fault_plan:
             manifest["faults"] = fault_plan.to_dict()

@@ -27,7 +27,12 @@ from repro.core.rpt import ReadTimingParameterTable
 from repro.sim.registry import default_registry
 from repro.sim.spec import DEFAULT_FILL_FRACTION, Condition, WorkloadSpec
 from repro.ssd.config import SsdConfig
-from repro.ssd.controller import SimulationResult, SsdSimulator
+from repro.ssd.controller import (
+    DEFAULT_LOOKAHEAD_REQUESTS,
+    SimulationResult,
+    SsdSimulator,
+    aged_simulator,
+)
 from repro.ssd.faults import FaultPlan
 from repro.ssd.metrics import normalized_response_times
 from repro.ssd.request import HostRequest
@@ -525,6 +530,33 @@ class Simulation:
         result.manifest = dict(result.manifest, session=self.manifest())
         return result
 
+    def _run_policies(
+        self, run: Callable[[SsdSimulator], SimulationResult], **options
+    ) -> Dict[str, SimulationResult]:
+        """Drive every configured policy's freshly aged device through ``run``.
+
+        Each device is a temporary: it becomes garbage before the next one
+        is built and preconditioned, so peak memory stays at one device.
+        """
+        rpt = self._rpt or ReadTimingParameterTable.default()
+        condition = self._condition
+        results: Dict[str, SimulationResult] = {}
+        for policy in self._policies:
+            result = run(
+                aged_simulator(
+                    policy,
+                    self._config,
+                    rpt,
+                    pe_cycles=condition.pe_cycles,
+                    retention_months=condition.retention_months,
+                    fill_fraction=condition.fill_fraction,
+                    faults=self._fault_plan,
+                    **options,
+                )
+            )
+            results[result.policy_name] = result
+        return results
+
     def _run_closed_loop(self) -> RunResult:
         from repro.workloads.closed_loop import ClosedLoopSource
 
@@ -534,22 +566,9 @@ class Simulation:
                 "spec; call .workload() or .synthetic() first"
             )
         spec = self._source
-        shared_rpt = self._rpt or ReadTimingParameterTable.default()
         params = self._closed_loop_params
-        results: Dict[str, SimulationResult] = {}
-        for entry in self._policies:
-            if isinstance(entry, str):
-                policy = self._registry.create(entry, timing=self._config.timing, rpt=shared_rpt)
-            else:
-                policy = entry
-            simulator = SsdSimulator(config=self._config, policy=policy, rpt=shared_rpt)
-            simulator.precondition(
-                pe_cycles=self._condition.pe_cycles,
-                retention_months=self._condition.retention_months,
-                fill_fraction=self._condition.fill_fraction,
-            )
-            if self._fault_plan is not None:
-                simulator.install_faults(self._fault_plan)
+
+        def run(simulator: SsdSimulator) -> SimulationResult:
             source = ClosedLoopSource(
                 spec,
                 config=self._config,
@@ -559,12 +578,12 @@ class Simulation:
                 think_time_us=params["think_time_us"],
                 seed=spec.seed,
             )
-            result = simulator.run_closed_loop(source)
-            results[result.policy_name] = result
+            return simulator.run_closed_loop(source)
+
         return RunResult(
             config=self._config,
             condition=self._condition,
-            results=results,
+            results=self._run_policies(run),
             workload=spec,
             manifest=self.manifest(),
         )
@@ -594,29 +613,11 @@ class Simulation:
     def _run_tenant_device(self) -> RunResult:
         """A tenant-tracking source on a single device: stream the merge."""
         mix = self._source
-        shared_rpt = self._rpt or ReadTimingParameterTable.default()
-        results: Dict[str, SimulationResult] = {}
-        for entry in self._policies:
-            if isinstance(entry, str):
-                policy = self._registry.create(entry, timing=self._config.timing, rpt=shared_rpt)
-            else:
-                policy = entry
-            simulator = SsdSimulator(
-                config=self._config, policy=policy, rpt=shared_rpt, track_tenants=True
-            )
-            simulator.precondition(
-                pe_cycles=self._condition.pe_cycles,
-                retention_months=self._condition.retention_months,
-                fill_fraction=self._condition.fill_fraction,
-            )
-            if self._fault_plan is not None:
-                simulator.install_faults(self._fault_plan)
-            stream = mix.iter_requests(self._config)
-            if self._lookahead is not None:
-                result = simulator.run(stream, lookahead=self._lookahead)
-            else:
-                result = simulator.run(stream)
-            results[result.policy_name] = result
+        lookahead = self._lookahead or DEFAULT_LOOKAHEAD_REQUESTS
+        results = self._run_policies(
+            lambda simulator: simulator.run(mix.iter_requests(self._config), lookahead=lookahead),
+            track_tenants=True,
+        )
         return RunResult(
             config=self._config,
             condition=self._condition,
@@ -626,22 +627,10 @@ class Simulation:
         )
 
     def _run_device(self) -> RunResult:
-        shared_rpt = self._rpt or ReadTimingParameterTable.default()
-        results: Dict[str, SimulationResult] = {}
         previous_stream = None
-        for entry in self._policies:
-            if isinstance(entry, str):
-                policy = self._registry.create(entry, timing=self._config.timing, rpt=shared_rpt)
-            else:
-                policy = entry
-            simulator = SsdSimulator(config=self._config, policy=policy, rpt=shared_rpt)
-            simulator.precondition(
-                pe_cycles=self._condition.pe_cycles,
-                retention_months=self._condition.retention_months,
-                fill_fraction=self._condition.fill_fraction,
-            )
-            if self._fault_plan is not None:
-                simulator.install_faults(self._fault_plan)
+
+        def run(simulator: SsdSimulator) -> SimulationResult:
+            nonlocal previous_stream
             stream = self._policy_stream()
             if (
                 self._stream is not None
@@ -657,11 +646,9 @@ class Simulation:
                     "per call"
                 )
             previous_stream = stream
-            if self._lookahead is not None:
-                result = simulator.run(stream, lookahead=self._lookahead)
-            else:
-                result = simulator.run(stream)
-            results[result.policy_name] = result
+            return simulator.run(stream, lookahead=self._lookahead or DEFAULT_LOOKAHEAD_REQUESTS)
+
+        results = self._run_policies(run)
         if self._stream is not None and len(results) > 1:
             # Every policy replays the same stream, so the completed-request
             # counts must agree; a mismatch means the factory shared one

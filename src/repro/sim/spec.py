@@ -17,6 +17,7 @@ from typing import Iterator, List, Optional, Tuple
 from zlib import crc32
 
 from repro.ssd.config import SsdConfig
+from repro.ssd.controller import DEFAULT_FILL_FRACTION
 from repro.ssd.request import HostRequest
 from repro.workloads.catalog import WORKLOAD_CATALOG, catalog_workload
 from repro.workloads.synthetic import SyntheticWorkload, WorkloadShape
@@ -166,10 +167,6 @@ class WorkloadSpec:
             payload.update({k: v for k, v in overrides.items() if v is not None})
             return cls.from_dict(payload)
         raise TypeError(f"cannot build a WorkloadSpec from {value!r}")
-
-
-#: Default logical-space fill fraction used when preconditioning a device.
-DEFAULT_FILL_FRACTION = 0.85
 
 
 @dataclass(frozen=True)

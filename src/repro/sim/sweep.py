@@ -1,37 +1,33 @@
-"""Parallel (workload x condition x policy) sweep execution.
+"""The dispatch core shared by sweeps and fleets, and the sweep front-end.
 
-The Figure 14/15 grids are embarrassingly parallel: every (workload,
-condition) cell is an independent simulation.  :class:`SweepRunner` fans the
-cells out over a ``multiprocessing`` pool — the first time this codebase can
-use more than one core — while guaranteeing that ``processes=N`` produces
-*bitwise-identical* rows to a serial run:
+Sweep cells, fleet devices and experiment suites all fan out the same way,
+through the pieces below; each runner keeps only its own payload shape and
+result collection:
 
-* every cell is executed by the same pure worker function, seeded only by
-  its own (workload, condition) payload;
-* configs and workload specs travel to the workers as plain dicts (the same
-  JSON round-trip a run manifest uses); a custom RPT, being immutable
-  tabular data, is pickled as-is;
-* results come back in deterministic (workload, condition) submission order.
+* :class:`WorkerPool` / :func:`pool_map` — the one process-pool fan-out
+  (start-method choice, serial fallback, in-order ``on_result`` delivery);
+* :func:`repro.ssd.slab_transport.grid_transport` — the parent builds the
+  retry-grid slabs of every condition once and ships them to the workers
+  (a shared-memory descriptor, or the slabs inline), and
+  :func:`~repro.ssd.slab_transport.install_payload_slabs` installs them on
+  the worker side;
+* :func:`repro.ssd.controller.aged_simulator` — the one builder of an aged
+  device: policy, precondition (P/E, retention, fill) and optional faults.
 
-The pool uses the ``fork`` start method where available so that policies
-registered at runtime (via :func:`repro.sim.register_policy`) remain
-resolvable inside workers; on spawn-only platforms, third-party policies
-must be registered at import time of a module the workers import.
+:class:`SweepRunner` is the (workload x condition x policy) front-end used
+by the Figure 14/15 grids.  Every (workload, condition) cell is an
+independent simulation, executed by the same pure worker function seeded
+only by its own payload, so ``processes=N`` produces *bitwise-identical*
+rows to a serial run.  Configs and workload specs travel as plain dicts
+(the JSON round-trip a run manifest uses); a custom RPT, being immutable
+tabular data, is pickled as-is; results come back in (workload, condition)
+submission order.  Cells are keyed by (workload label, P/E cycles,
+retention months), so colliding labels or conditions are rejected up front.
 
 Request streams depend only on (workload spec, seed, footprint), not on the
-operating condition, so each process keeps a small per-stream cache instead
-of regenerating the stream for every condition cell the way the seed's
-``run_workload_grid`` did.  Since the simulator stopped mutating host
-requests, the cache holds the :class:`HostRequest` objects themselves and
-every (condition, policy) cell replays them directly.
-
-Retry-step grids are likewise built once, not per worker: the parent
-vectorizes the slabs of every condition in the sweep and publishes them
-through :mod:`repro.ssd.slab_transport` (one shared-memory segment whose
-descriptor rides in every payload; inline pickled slabs when shared memory
-is unavailable), and workers install them into their process-shared
-:func:`repro.ssd.retry_grid.shared_grid` (a no-op under ``fork``, where the
-parent's grids are inherited) instead of recomputing behaviour lattices.
+operating condition, so each process keeps a small per-stream cache and
+every (condition, policy) cell replays the same :class:`HostRequest`
+objects (the simulator does not mutate them).
 """
 
 from __future__ import annotations
@@ -45,11 +41,10 @@ from repro.core.rpt import ReadTimingParameterTable
 from repro.sim.registry import default_registry
 from repro.sim.spec import Condition, WorkloadSpec
 from repro.ssd.config import SsdConfig
-from repro.ssd.controller import SimulationResult, SsdSimulator
+from repro.ssd.controller import SimulationResult, aged_simulator
 from repro.ssd.metrics import normalized_response_times
 from repro.ssd.request import HostRequest
-from repro.ssd.retry_grid import shared_grid
-from repro.ssd.slab_transport import payload_slabs, publish_slabs
+from repro.ssd.slab_transport import grid_transport, install_payload_slabs
 from repro.workloads.catalog import WORKLOAD_CATALOG
 
 #: Default mean inter-arrival time of generated streams; matches the seed's
@@ -75,54 +70,19 @@ def _default_rpt() -> ReadTimingParameterTable:
     return _DEFAULT_RPT[0]
 
 
-def pool_map(func, payloads: Sequence, processes: int, on_result=None) -> List:
-    """``[func(p) for p in payloads]``, optionally over a process pool.
-
-    The shared fan-out primitive of the sweep runner and the experiment
-    suite runner.  Prefers the ``fork`` start method so objects registered
-    at runtime (policies, experiments) remain resolvable inside workers; on
-    spawn-only platforms workers re-import the registering modules, so only
-    import-time registrations resolve.  Falls back to a serial map when a
-    pool would not help (one payload) or is impossible (already inside a
-    daemonic pool worker, which may not spawn children).
-
-    :param on_result: optional callback invoked in the parent, in payload
-        order, as each result arrives — results completed before a later
-        payload fails have already been delivered, which is what lets the
-        suite runner persist partial progress.
-    """
-    count = min(processes, len(payloads))
-    if count <= 1 or multiprocessing.current_process().daemon:
-        results = []
-        for payload in payloads:
-            result = func(payload)
-            if on_result is not None:
-                on_result(result)
-            results.append(result)
-        return results
-    methods = multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context("fork" if "fork" in methods else None)
-    with context.Pool(count) as pool:
-        if on_result is None:
-            return pool.map(func, payloads)
-        results = []
-        for result in pool.imap(func, payloads):
-            on_result(result)
-            results.append(result)
-        return results
-
-
 class WorkerPool:
-    """A reusable process pool with :func:`pool_map` semantics.
+    """The one process-pool fan-out of sweeps, fleets and experiment suites.
 
-    :func:`pool_map` spins a pool up and tears it down per call — fine for
-    one sweep grid, wasteful for a fleet streaming dozens of shards through
-    the same workers.  ``WorkerPool`` keeps one pool alive across
-    :meth:`map` calls (created lazily on the first call that can actually
-    use it) and mirrors ``pool_map``'s serial fallbacks, so results stay
-    bitwise-identical to a serial run.  Use as a context manager; on a
-    clean exit the pool is closed and joined, on an exception it is
-    terminated.
+    Prefers the ``fork`` start method so objects registered at runtime
+    (policies, experiments) remain resolvable inside workers; on spawn-only
+    platforms workers re-import the registering modules, so only
+    import-time registrations resolve.  :meth:`pool_map` runs serially when
+    a pool would not help (one payload) or is impossible (already inside a
+    daemonic pool worker, which may not spawn children), so results are
+    bitwise-identical to a serial run either way.  The pool is created
+    lazily and kept alive across calls — a fleet streams every shard
+    through the same workers.  Use as a context manager; on a clean exit
+    the pool is closed and joined, on an exception it is terminated.
     """
 
     def __init__(self, processes: int):
@@ -131,15 +91,30 @@ class WorkerPool:
         self.processes = processes
         self._pool = None
 
-    def map(self, func, payloads: Sequence) -> List:
-        count = min(self.processes, len(payloads))
-        if count <= 1 or multiprocessing.current_process().daemon:
-            return [func(payload) for payload in payloads]
-        if self._pool is None:
-            methods = multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context("fork" if "fork" in methods else None)
-            self._pool = context.Pool(self.processes)
-        return self._pool.map(func, payloads)
+    def pool_map(self, func, payloads: Sequence, on_result=None) -> List:
+        """``[func(p) for p in payloads]``, over the pool when it helps.
+
+        :param on_result: optional callback invoked in the parent, in payload
+            order, as each result arrives — results completed before a later
+            payload fails have already been delivered, which is what lets the
+            suite runner persist partial progress.
+        """
+        if min(self.processes, len(payloads)) <= 1 or multiprocessing.current_process().daemon:
+            results = map(func, payloads)
+        else:
+            if self._pool is None:
+                methods = multiprocessing.get_all_start_methods()
+                context = multiprocessing.get_context("fork" if "fork" in methods else None)
+                self._pool = context.Pool(self.processes)
+            if on_result is None:
+                return self._pool.map(func, payloads)
+            results = self._pool.imap(func, payloads)
+        collected = []
+        for result in results:
+            if on_result is not None:
+                on_result(result)
+            collected.append(result)
+        return collected
 
     def close(self, terminate: bool = False) -> None:
         if self._pool is None:
@@ -156,6 +131,12 @@ class WorkerPool:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close(terminate=exc_type is not None)
+
+
+def pool_map(func, payloads: Sequence, processes: int, on_result=None) -> List:
+    """One-shot :meth:`WorkerPool.pool_map` over at most ``processes`` workers."""
+    with WorkerPool(max(1, min(processes, len(payloads)))) as pool:
+        return pool.pool_map(func, payloads, on_result=on_result)
 
 
 def _cached_stream(spec: WorkloadSpec, config: SsdConfig) -> List[HostRequest]:
@@ -180,22 +161,20 @@ def _run_cell(payload: dict) -> Tuple[str, Tuple[int, float], Dict[str, Simulati
     spec = WorkloadSpec.from_dict(payload["workload"])
     condition = Condition.from_dict(payload["condition"])
     rpt = payload.get("rpt") or _default_rpt()
-    slabs = payload_slabs(payload)
-    if slabs:
-        # Install the parent-built retry-step slabs into this process's
-        # shared grid instead of recomputing them per worker (a fork-start
-        # worker usually inherited them already; install_slabs then no-ops).
-        shared_grid(config, rpt).install_slabs(slabs)
-    registry = default_registry()
+    install_payload_slabs(payload, config, rpt)
     stream = _cached_stream(spec, config)
     results: Dict[str, SimulationResult] = {}
     for name in payload["policies"]:
-        policy = registry.create(name, timing=config.timing, rpt=rpt)
-        simulator = SsdSimulator(config=config, policy=policy, rpt=rpt)
-        simulator.precondition(
-            pe_cycles=condition.pe_cycles, retention_months=condition.retention_months
-        )
-        result = simulator.run(stream)
+        # The device is a temporary: it is garbage before the next policy's
+        # device is built and preconditioned (peak memory = one device).
+        result = aged_simulator(
+            name,
+            config,
+            rpt,
+            pe_cycles=condition.pe_cycles,
+            retention_months=condition.retention_months,
+            fill_fraction=condition.fill_fraction,
+        ).run(stream)
         results[result.policy_name] = result
     return spec.label, condition.as_tuple(), results
 
@@ -363,7 +342,7 @@ class SweepRunner:
         )
         return (spec.seed * 1_000_003 + digest) % (2**31)
 
-    def _payloads(self, specs, conditions, policies):
+    def _payloads(self, specs, conditions, policies, transport):
         config_dict = self.config.to_dict()
         payloads = []
         for spec in specs:
@@ -379,50 +358,10 @@ class SweepRunner:
                         "condition": condition.to_dict(),
                         "policies": tuple(policies),
                         "rpt": self.rpt,
+                        **transport,
                     }
                 )
         return payloads
-
-    def _attach_grid_slabs(self, payloads, conditions):
-        """Precompute retry-step slabs once and ship them with each cell.
-
-        Every cell reads cold data at its condition and rewritten data at
-        (P/E, 0); building those slabs in the parent means workers install
-        the grid instead of each recomputing it (the point of sharing — one
-        vectorized pass serves the whole sweep).  The slabs travel through
-        shared memory when available (payloads then carry only the
-        segment's descriptor); otherwise each payload gets its own cell's
-        slabs inline, exactly the old pickle path.  Returns the published
-        :class:`~repro.ssd.slab_transport.SlabSegment` (or ``None``); the
-        caller must ``close()`` it after the map.
-        """
-        grid = shared_grid(self.config, self.rpt or _default_rpt())
-        pairs = set()
-        for condition in conditions:
-            pairs.add((condition.pe_cycles, float(condition.retention_months)))
-            pairs.add((condition.pe_cycles, 0.0))
-        exports = {}
-        for pair in sorted(pairs):
-            # Export each slab immediately after its prefill: a sweep with
-            # more conditions than the grid's slab bound would otherwise
-            # evict early slabs before the batch export reads them.
-            grid.prefill([pair])
-            exports[pair] = grid.export_slabs([pair])[0]
-        segment = None
-        if self.use_shared_memory:
-            segment = publish_slabs([exports[pair] for pair in sorted(exports)])
-        if segment is not None:
-            for payload in payloads:
-                payload["grid_segment"] = segment.descriptor
-            return segment
-        for payload in payloads:
-            cell = payload["condition"]
-            cell_pairs = [
-                (cell["pe_cycles"], float(cell["retention_months"])),
-                (cell["pe_cycles"], 0.0),
-            ]
-            payload["grid_slabs"] = [exports[pair] for pair in dict.fromkeys(cell_pairs)]
-        return None
 
     # -- execution ------------------------------------------------------------
     def run(
@@ -457,17 +396,21 @@ class SweepRunner:
         condition_objs = [Condition.coerce(condition) for condition in conditions]
         if not condition_objs:
             raise ValueError("no conditions given")
+        keys = [condition.as_tuple() for condition in condition_objs]
+        if len(set(keys)) != len(keys):
+            raise ValueError(
+                f"conditions collide: {keys}; cells are keyed by (pe_cycles, "
+                "retention_months) alone, so each condition needs a distinct "
+                "pair (fill_fraction is not part of the key)"
+            )
         if baseline not in policy_names:
             # Normalizing needs a reference that actually ran; fall back to
             # the first policy (its rows then read exactly 1.0).
             baseline = policy_names[0]
-        payloads = self._payloads(specs, condition_objs, policy_names)
-        segment = self._attach_grid_slabs(payloads, condition_objs)
-        try:
+        rpt = self.rpt or _default_rpt()
+        with grid_transport(self.config, rpt, condition_objs, self.use_shared_memory) as transport:
+            payloads = self._payloads(specs, condition_objs, policy_names, transport)
             outcomes = pool_map(_run_cell, payloads, self.processes)
-        finally:
-            if segment is not None:
-                segment.close()
 
         cells = {(label, pec, months): results for label, (pec, months), results in outcomes}
         return SweepResult(

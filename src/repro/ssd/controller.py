@@ -72,6 +72,9 @@ from repro.ssd.write_buffer import WriteBuffer
 #: the pump, small enough that the event queue stays O(window), not O(trace).
 DEFAULT_LOOKAHEAD_REQUESTS = 64
 
+#: Default logical-space fill fraction used when preconditioning a device.
+DEFAULT_FILL_FRACTION = 0.85
+
 
 @dataclass
 class SimulationResult:
@@ -223,7 +226,7 @@ class SsdSimulator:
 
     # -- preconditioning ------------------------------------------------------------
     def precondition(self, pe_cycles: int = 0, retention_months: float = 0.0,
-                     fill_fraction: float = 0.85) -> None:
+                     fill_fraction: float = DEFAULT_FILL_FRACTION) -> None:
         """Install the experiment's operating condition (Section 7.1).
 
         Every block receives the requested P/E-cycle count and the logical
@@ -867,6 +870,36 @@ class SsdSimulator:
         self.schedulers[physical.die_key()].enqueue(transaction)
 
 
+def aged_simulator(policy: Union[str, ReadRetryPolicy],
+                   config: Optional[SsdConfig],
+                   rpt: Optional[ReadTimingParameterTable],
+                   *,
+                   pe_cycles: int,
+                   retention_months: float,
+                   fill_fraction: float,
+                   faults: Optional[FaultPlan] = None,
+                   **options) -> SsdSimulator:
+    """A simulator preconditioned to one aged state, ready to run.
+
+    The single place every runner (sweep cells, fleet devices, sessions,
+    experiments) builds its device, so an experiment cell means the same
+    device wherever it runs: policy (registry name or instance) ->
+    :class:`SsdSimulator` -> :meth:`~SsdSimulator.precondition` -> optional
+    :meth:`~SsdSimulator.install_faults`.  The fill fraction is required so
+    no caller can silently fall back to the default.
+
+    :param options: further :class:`SsdSimulator` keyword arguments
+        (``device_id``, ``track_tenants``, ...).
+    """
+    simulator = SsdSimulator(config=config, policy=policy, rpt=rpt, **options)
+    simulator.precondition(pe_cycles=pe_cycles,
+                           retention_months=retention_months,
+                           fill_fraction=fill_fraction)
+    if faults is not None:
+        simulator.install_faults(faults)
+    return simulator
+
+
 RequestSource = Union[Iterable[HostRequest],
                       Callable[[], Iterable[HostRequest]]]
 
@@ -907,9 +940,10 @@ def simulate_policies(policies: Iterable[Union[str, ReadRetryPolicy]],
     stream_factory = _policy_streams(requests)
     shared_rpt = rpt or ReadTimingParameterTable.default()
     for policy in policies:
-        simulator = SsdSimulator(config=config, policy=policy, rpt=shared_rpt)
-        simulator.precondition(pe_cycles=pe_cycles,
-                               retention_months=retention_months)
-        result = simulator.run(stream_factory())
+        result = aged_simulator(policy, config, shared_rpt,
+                                pe_cycles=pe_cycles,
+                                retention_months=retention_months,
+                                fill_fraction=DEFAULT_FILL_FRACTION
+                                ).run(stream_factory())
         results[result.policy_name] = result
     return results

@@ -1,45 +1,46 @@
-"""Shared-memory transport of retry-grid slabs for pool workers.
+"""Retry-grid slab transport: the one path slabs take from parent to workers.
 
-The sweep and fleet runners precompute :class:`~repro.ssd.retry_grid.RetryStepGrid`
-slabs in the parent so workers install them instead of recomputing behaviour
-lattices.  Shipping the slabs *inside every payload* serializes the same
-arrays once per worker payload — linear pickle cost in fleet size.  This
-module publishes the parent-built slab arrays **once** through
-``multiprocessing.shared_memory`` and hands workers a small picklable
-*descriptor* instead:
+Sweep cells and fleet devices both start by installing the
+:class:`~repro.ssd.retry_grid.RetryStepGrid` slabs of their aged condition.
+Building those behaviour lattices once in the parent, instead of once per
+worker, is the point of sharing; shipping the built arrays *inside every
+payload* would still cost one pickle per payload.  Both runners therefore
+go through the same two calls:
 
-* :func:`publish_slabs` packs the exported slab arrays into one shared
-  segment and returns a :class:`SlabSegment` whose ``descriptor`` (segment
-  name, array layout, content fingerprint, publication epoch) travels in the
-  payloads.  It returns ``None`` when shared memory is unavailable, and the
-  callers fall back to the inline pickle path transparently;
-* :func:`attach_slabs` maps a descriptor back into export-shaped slab dicts
-  whose arrays are read-only views of the shared segment — zero-copy on the
-  worker side;
-* :func:`payload_slabs` is the worker-side entry point: descriptor if
-  present (with a fallback to the inline form if the segment has vanished),
-  inline ``grid_slabs`` otherwise.
+* :func:`grid_transport` (parent) prefills the (P/E, retention) and
+  (P/E, 0) slabs of every given condition, publishes them **once** through
+  ``multiprocessing.shared_memory`` and yields the payload transport — a
+  small picklable descriptor (segment name, array layout, content
+  fingerprint, publication epoch).  Where shared memory is unavailable or
+  switched off it yields the exported slabs inline instead.  The segment
+  is closed and unlinked when the block exits, so it never outlives its
+  run, even when a worker crashes mid-shard;
+* :func:`install_payload_slabs` (worker) installs whatever the payload
+  carries into the process-shared grid.  A stale or vanished segment falls
+  back to the inline form; absent both, the worker recomputes its slabs,
+  which is slower but bitwise-identical.
 
-Worker attachments are cached process-wide by segment name so one fleet
-shard's payloads attach once.  Segment names are reused across runs of a
-long-lived worker, so every cached attachment is validated against the
+Underneath, :func:`publish_slabs` packs exported slabs into one segment and
+:func:`attach_slabs` maps a descriptor back into read-only, zero-copy array
+views.  Worker attachments are cached process-wide by segment name so a
+fleet shard's payloads attach once.  Segment names are reused across runs
+of a long-lived worker, so every cached attachment is validated against the
 descriptor's ``(epoch, fingerprint)`` pair and explicitly detached on a
-mismatch — a stale attachment from an earlier fleet run (a different
-geometry, a rebuilt grid) can never serve a new spec.
-
-The publishing side owns the segment: :meth:`SlabSegment.close` (called by
-the runners in a ``finally``) closes and unlinks it, so segments never
-outlive their run even when a worker crashes mid-shard.
+mismatch — a stale attachment from an earlier run (a different geometry, a
+rebuilt grid) can never serve a new spec.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.ssd.retry_grid import shared_grid
 
 #: Per-page-type array fields of one exported slab, in packing order.
 _ARRAY_FIELDS = ("retry_steps", "retry_steps_reduced", "reduced_timing_fallback")
@@ -296,3 +297,46 @@ def payload_slabs(payload: dict) -> Optional[List[dict]]:
         except SlabTransportError:
             pass
     return payload.get("grid_slabs")
+
+
+def install_payload_slabs(payload: dict, config, rpt) -> None:
+    """Install a worker payload's slabs into this process's shared grid.
+
+    A fork-start worker usually inherited the parent's slabs already;
+    ``install_slabs`` then no-ops.
+    """
+    slabs = payload_slabs(payload)
+    if slabs:
+        shared_grid(config, rpt).install_slabs(slabs)
+
+
+@contextlib.contextmanager
+def grid_transport(config, rpt, conditions: Iterable, use_shared_memory: bool) -> Iterator[dict]:
+    """Build the slabs of ``conditions`` once and yield the payload transport.
+
+    Every device reads cold data at its condition and rewritten data at
+    (P/E, 0), so both pairs are prefilled per distinct condition, in sorted
+    order (a deterministic slab layout).  The yielded dict is merged into
+    every worker payload: ``{"grid_segment": descriptor}`` when the slabs
+    went to shared memory, else ``{"grid_slabs": exports}``.
+
+    :param conditions: objects with ``pe_cycles`` and ``retention_months``
+        (:class:`repro.sim.spec.Condition`).
+    """
+    grid = shared_grid(config, rpt)
+    pairs = set()
+    for condition in conditions:
+        pairs.add((condition.pe_cycles, float(condition.retention_months)))
+        pairs.add((condition.pe_cycles, 0.0))
+    exports = []
+    for pair in sorted(pairs):
+        # Export each slab right after its prefill: with more conditions
+        # than the grid's slab bound, a batch export would miss early slabs.
+        grid.prefill([pair])
+        exports.extend(grid.export_slabs([pair]))
+    segment = publish_slabs(exports) if use_shared_memory else None
+    if segment is None:
+        yield {"grid_slabs": exports}
+        return
+    with segment:
+        yield {"grid_segment": segment.descriptor}

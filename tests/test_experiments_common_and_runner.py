@@ -1,18 +1,14 @@
-"""Tests for the shared experiment plumbing and the CLI runner."""
+"""Tests for the shared experiment defaults and the CLI runner."""
 
 import json
 
 import pytest
 
 import repro
-from repro.experiments.common import (
-    DEFAULT_CONDITION_GRID,
-    compare_policies,
-    default_experiment_config,
-    normalize_grid,
-    run_workload_grid,
-)
+from repro.experiments.api import default_experiment_config
+from repro.experiments.fig14 import DEFAULT_CONDITION_GRID
 from repro.experiments.runner import main as runner_main
+from repro.sim import Simulation, SweepRunner
 from repro.ssd.config import SsdConfig
 
 
@@ -33,21 +29,21 @@ class TestDefaultConfig:
         assert config.blocks_per_plane == 10
 
 
-class TestRunWorkloadGrid:
+class TestSweepGrid:
     @pytest.fixture(scope="class")
-    def grid(self, default_rpt):
-        config = SsdConfig.tiny()
-        return run_workload_grid(("Baseline", "NoRR"), ("usr_1",),
-                                 conditions=((1000, 6.0),), num_requests=60,
-                                 config=config, rpt=default_rpt)
+    def sweep(self, default_rpt):
+        runner = SweepRunner(config=SsdConfig.tiny(), rpt=default_rpt)
+        return runner.run(policies=("Baseline", "NoRR"), workloads=("usr_1",),
+                          conditions=((1000, 6.0),), num_requests=60)
 
-    def test_grid_structure(self, grid):
+    def test_grid_structure(self, sweep):
+        grid = sweep.to_grid()
         assert set(grid) == {"usr_1"}
         assert set(grid["usr_1"]) == {(1000, 6.0)}
         assert set(grid["usr_1"][(1000, 6.0)]) == {"Baseline", "NoRR"}
 
-    def test_normalize_grid_rows(self, grid):
-        rows = list(normalize_grid(grid))
+    def test_normalized_rows(self, sweep):
+        rows = sweep.rows
         assert len(rows) == 2
         baseline = next(row for row in rows if row["policy"] == "Baseline")
         norr = next(row for row in rows if row["policy"] == "NoRR")
@@ -57,9 +53,9 @@ class TestRunWorkloadGrid:
 
     def test_unknown_workload_rejected(self, default_rpt):
         with pytest.raises(KeyError):
-            run_workload_grid(("Baseline",), ("not-a-workload",),
-                              conditions=((0, 0.0),), num_requests=10,
-                              config=SsdConfig.tiny(), rpt=default_rpt)
+            SweepRunner(config=SsdConfig.tiny(), rpt=default_rpt).run(
+                policies=("Baseline",), workloads=("not-a-workload",),
+                conditions=((0, 0.0),), num_requests=10)
 
     def test_default_condition_grid_shape(self):
         assert len(DEFAULT_CONDITION_GRID) == 9
@@ -68,11 +64,14 @@ class TestRunWorkloadGrid:
 
 
 class TestComparePolicies:
-    def test_compare_policies_returns_means(self, tiny_ssd_config):
-        result = compare_policies(policies=("Baseline", "NoRR"),
-                                  num_requests=60, pe_cycles=1000,
-                                  retention_months=6.0,
-                                  config=tiny_ssd_config)
+    def test_simulation_returns_means(self, tiny_ssd_config):
+        run = (Simulation(tiny_ssd_config)
+               .policies("Baseline", "NoRR")
+               .synthetic(read_ratio=0.9, cold_ratio=0.7,
+                          mean_interarrival_us=300.0, n=60)
+               .condition(pec=1000, months=6.0)
+               .run())
+        result = {name: result.mean_response_time_us for name, result in run}
         assert result["NoRR"] < result["Baseline"]
 
     def test_quick_ssd_comparison_wrapper(self):

@@ -274,6 +274,19 @@ class TestPickleSafePool:
         )
         assert rules_hit(engine, source) == ["pickle-safe-pool"]
 
+    def test_reused_pool_fan_out_flagged(self, engine):
+        # The fleet's shape: one WorkerPool kept alive across shards.
+        source = (
+            "from repro.sim.sweep import WorkerPool\n"
+            "\n"
+            "class Runner:\n"
+            "    def go(self, shards):\n"
+            "        with WorkerPool(2) as pool:\n"
+            "            for payloads in shards:\n"
+            "                pool.pool_map(self.work, payloads)\n"
+        )
+        assert rules_hit(engine, source) == ["pickle-safe-pool"]
+
     def test_module_level_function_is_fine(self, engine):
         source = (
             "from functools import partial\n"
@@ -376,6 +389,32 @@ class TestNoDictOrderAcrossPool:
             "    return pool_map(partial(worker, scale=3), payloads, 2)\n"
         )
         assert rules_hit(engine, source) == ["no-dict-order-across-pool"]
+
+    def test_reused_pool_worker_flagged(self, engine):
+        source = (
+            "from repro.sim.sweep import WorkerPool\n"
+            "\n"
+            "def worker(payload):\n"
+            "    return [v for v in payload.values()]\n"
+            "\n"
+            "def run(shards):\n"
+            "    with WorkerPool(2) as pool:\n"
+            "        return [pool.pool_map(worker, payloads) for payloads in shards]\n"
+        )
+        assert rules_hit(engine, source) == ["no-dict-order-across-pool"]
+
+    @pytest.mark.parametrize("module, worker", [
+        ("sweep.py", "_run_cell"),
+        ("fleet.py", "_run_fleet_device"),
+    ])
+    def test_runner_fan_outs_are_checked(self, engine, module, worker):
+        import ast
+
+        from repro.lint.rules.dict_order_pool import _worker_names
+
+        tree = ast.parse((REPO_ROOT / "src" / "repro" / "sim" / module).read_text())
+        entry_points = frozenset(engine.config.pool_entry_points)
+        assert worker in _worker_names(tree, entry_points)
 
 
 # -- rule: experiment-registration-sync ----------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the parallel sweep runner and the legacy grid shims."""
+"""Tests for the parallel sweep runner and its worker-pool fan-out."""
 
 import pytest
 
@@ -169,28 +169,77 @@ class TestValidation:
         assert result.cell("usr_1", 0, 0.0)["NoRR"].metrics.host_reads > 0
 
 
-class TestLegacyShims:
-    def test_run_workload_grid_warns_and_matches(self, tiny_config,
-                                                 default_rpt):
-        from repro.experiments.common import normalize_grid, run_workload_grid
+class TestFillFraction:
+    def test_cell_honours_fill_fraction(self, tiny_config):
+        from repro.sim import Simulation
 
-        with pytest.warns(DeprecationWarning):
-            grid = run_workload_grid(("Baseline", "NoRR"), ("usr_1",),
-                                     conditions=((1000, 6.0),),
-                                     num_requests=40, config=tiny_config,
-                                     rpt=default_rpt)
-        assert set(grid["usr_1"][(1000, 6.0)]) == {"Baseline", "NoRR"}
-        with pytest.warns(DeprecationWarning):
-            rows = list(normalize_grid(grid))
-        assert {row["policy"] for row in rows} == {"Baseline", "NoRR"}
+        policies = ("Baseline", "PnAR2")
+        sparse = Condition(1000, 6.0, fill_fraction=0.3)
+        sweep = SweepRunner(config=tiny_config).run(
+            policies=policies, workloads=("usr_1",), conditions=(sparse,),
+            num_requests=60, seed=3)
+        session = (Simulation(tiny_config)
+                   .policies(policies)
+                   .workload("usr_1", n=60, seed=3, mean_interarrival_us=700.0,
+                             footprint_fraction=0.8)
+                   .condition(pec=1000, months=6.0, fill=0.3)
+                   .run())
+        cell = sweep.cell("usr_1", 1000, 6.0)
+        for policy in policies:
+            expected = session[policy]
+            got = cell[policy]
+            assert got.policy_name == expected.policy_name
+            assert got.config == expected.config
+            assert got.preconditioned_pe_cycles == expected.preconditioned_pe_cycles
+            assert (got.preconditioned_retention_months
+                    == expected.preconditioned_retention_months)
+            assert got.device_id == expected.device_id
+            assert got.metrics.read_latency == expected.metrics.read_latency
+            assert got.metrics.write_latency == expected.metrics.write_latency
+            assert got.metrics.summary() == expected.metrics.summary()
+        dense = SweepRunner(config=tiny_config).run(
+            policies=policies, workloads=("usr_1",),
+            conditions=(Condition(1000, 6.0),), num_requests=60, seed=3)
+        assert (dense.cell("usr_1", 1000, 6.0)["Baseline"].metrics.summary()
+                != cell["Baseline"].metrics.summary())
 
-    def test_compare_policies_warns(self, tiny_config):
-        from repro.experiments.common import compare_policies
+    def test_conditions_differing_only_in_fill_rejected(self, tiny_config):
+        with pytest.raises(ValueError, match="conditions collide"):
+            SweepRunner(config=tiny_config).run(
+                policies=("NoRR",), workloads=("usr_1",), num_requests=20,
+                conditions=(Condition(1000, 6.0, fill_fraction=0.3),
+                            Condition(1000, 6.0)))
 
-        with pytest.warns(DeprecationWarning):
-            result = compare_policies(policies=("Baseline", "NoRR"),
-                                      num_requests=40, config=tiny_config)
-        assert result["NoRR"] < result["Baseline"]
+
+def _echo_or_fail(payload):
+    if payload == "fail":
+        raise RuntimeError("payload failed")
+    return payload * 2
+
+
+class TestPoolMapOnResult:
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_results_delivered_in_payload_order(self, processes):
+        delivered = []
+        results = sweep_module.pool_map(_echo_or_fail, [3, 1, 2, 5], processes,
+                                        on_result=delivered.append)
+        assert delivered == results == [6, 2, 4, 10]
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_results_before_a_failure_already_delivered(self, processes):
+        delivered = []
+        with pytest.raises(RuntimeError, match="payload failed"):
+            sweep_module.pool_map(_echo_or_fail, [1, 2, "fail", 4], processes,
+                                  on_result=delivered.append)
+        assert delivered == [2, 4]
+
+    def test_reused_pool_keeps_order_across_calls(self):
+        with sweep_module.WorkerPool(2) as pool:
+            assert pool.pool_map(_echo_or_fail, [1, 2, 3]) == [2, 4, 6]
+            delivered = []
+            assert pool.pool_map(_echo_or_fail, [4, 5],
+                                 on_result=delivered.append) == [8, 10]
+            assert delivered == [8, 10]
 
 
 class TestMainSmoke:
