@@ -196,7 +196,13 @@ class ExperimentResult:
 
     # -- rendering ---------------------------------------------------------------
     def to_text(self, max_rows: Optional[int] = None) -> str:
-        """Render the result as a fixed-width text table."""
+        """Render the result as a fixed-width text table.
+
+        :param max_rows: print at most this many rows (``0`` prints only the
+            header); ``None`` prints them all.
+        """
+        if max_rows is not None and max_rows < 0:
+            raise ValueError("max_rows must be non-negative")
         lines = [self.title, "=" * len(self.title)]
         if self.headline:
             lines.append("")
@@ -207,8 +213,8 @@ class ExperimentResult:
             lines.append("")
             columns = self.columns()
             rows = self.rows if max_rows is None else self.rows[:max_rows]
-            widths = {column: max(len(str(column)),
-                                  *(len(str(row[column])) for row in rows))
+            widths = {column: max([len(str(column))]
+                                  + [len(str(row[column])) for row in rows])
                       for column in columns}
             header = "  ".join(str(column).ljust(widths[column])
                                for column in columns)

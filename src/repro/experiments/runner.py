@@ -220,6 +220,13 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+def _non_negative_int(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be at least 0")
+    return value
+
+
 def _make_store(args) -> Optional[ArtifactStore]:
     if getattr(args, "no_cache", False):
         return None
@@ -371,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser = subparsers.add_parser(
         "run", help="run experiments (cached, optionally in parallel)")
     _add_common_run_options(run_parser)
-    run_parser.add_argument("--max-rows", type=int, default=None,
+    run_parser.add_argument("--max-rows", type=_non_negative_int,
+                            default=None, metavar="N",
                             help="limit the number of printed rows")
     run_parser.add_argument("--out", default=None, metavar="FILE",
                             help="also write the rendered table(s) to FILE")
@@ -402,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     show_parser.add_argument("--cache-dir", default=None, metavar="DIR")
     show_parser.add_argument("--format", default="text",
                              choices=("text", "json"))
-    show_parser.add_argument("--max-rows", type=int, default=None)
+    show_parser.add_argument("--max-rows", type=_non_negative_int,
+                             default=None, metavar="N")
     show_parser.set_defaults(handler=_cmd_show)
 
     return parser

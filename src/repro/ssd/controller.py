@@ -128,17 +128,9 @@ class SsdSimulator:
                  rpt: ReadTimingParameterTable = None,
                  record_samples: bool = False,
                  device_id: int = 0,
-                 track_tenants: bool = False,
-                 batch_read_dispatch: bool = True):
+                 track_tenants: bool = False):
         self.config = config or SsdConfig.scaled()
         self.device_id = device_id
-        #: Batched same-die read dispatch: multi-page reads resolve their
-        #: retry behaviours through one vectorized lattice walk per cold
-        #: condition instead of per-page scalar walks.  Bitwise-neutral (the
-        #: prepared value substitutes only for the identical scalar walk and
-        #: is re-validated at service time), so the switch exists purely for
-        #: equivalence testing, not as a behaviour knob.
-        self.batch_read_dispatch = batch_read_dispatch
         #: When True, every completion is also recorded into a per-tenant
         #: histogram keyed by the request's ``queue_id``.  Off by default so
         #: plain runs pay nothing and keep ``metrics.tenant_latency`` empty;
@@ -277,17 +269,8 @@ class SsdSimulator:
         """Retire one grown-bad block, scheduling its remap flash traffic."""
         operation = self.dftl.retire_block(plane_index, block_id,
                                           self.events.now_us)
-        plane = self.dftl.planes[operation.plane_index]
-        for source, destination in zip(operation.relocations,
-                                       operation.destinations):
-            self._enqueue_gc_transaction(TransactionKind.GC_READ, source)
-            self._enqueue_gc_transaction(TransactionKind.GC_PROGRAM,
-                                         destination)
-            self.metrics.fault_remapped_pages += 1
-        self._issue_translation_ops(operation.translation_ops)
-        erase_target = PhysicalPage(plane.channel, plane.die, plane.plane,
-                                    operation.victim_block, 0)
-        self._enqueue_gc_transaction(TransactionKind.ERASE, erase_target)
+        self._enqueue_block_rewrite(operation, self.dftl.planes)
+        self.metrics.fault_remapped_pages += operation.relocated_pages
         self.metrics.grown_bad_blocks += 1
 
     # -- running ----------------------------------------------------------------------
@@ -384,7 +367,6 @@ class SsdSimulator:
         for key, scheduler in self.schedulers.items():
             self.metrics.record_die_busy(key, scheduler.total_busy_us)
         self.metrics.grid_hits = self.backend.grid_hits
-        self.metrics.scalar_fallbacks = self.backend.scalar_fallbacks
         if self.dftl is not None:
             # Translation reads/writes are counted at enqueue time; the
             # mapper-internal cache and GC counters are snapshotted here,
@@ -520,10 +502,6 @@ class SsdSimulator:
         else:
             progress = _ReadProgress(request.page_count)
         self._read_progress[request.request_id] = progress
-        if (request.page_count > 1 and self.batch_read_dispatch
-                and self.dftl is None and self._fault_injector is None):
-            self._start_read_request_batched(request)
-            return
         now_us = self.events.now_us
         schedulers = self.schedulers
         physical_for_read = self._physical_for_read
@@ -535,54 +513,6 @@ class SsdSimulator:
                 read_kind, lpn, physical.channel, physical.die,
                 physical.plane, physical.block, physical.page, now_us,
                 request, None, physical)
-            schedulers[(physical.channel, physical.die)].enqueue(transaction)
-
-    def _start_read_request_batched(self, request: HostRequest) -> None:
-        """Multi-page read dispatch through one batch retry-table walk.
-
-        The pages of a multi-page request that resolve cold walk the retry
-        table together: their conditions are collected here, at dispatch,
-        and handed to the vectorized grid in one
-        :meth:`~repro.ssd.flash_backend.FlashBackend.peek_read_batch` call
-        instead of N scalar walks at service time.  Bitwise equivalence
-        with scalar dispatch rests on three properties: targets resolve in
-        LPN order before any enqueue (cold-map FTL writes happen in the
-        same order as the scalar loop, and enqueues never touch the FTL);
-        the peek is pure, so the grid's state trajectory is untouched; and
-        each prepared behaviour is keyed by the (P/E, retention) it was
-        computed under and re-validated against the block's metadata at
-        service time, so a GC erase between dispatch and service simply
-        voids the preparation (``_read_service_time`` falls back to the
-        normal path).  Excluded: DFTL (lookups inject translation traffic
-        between resolves) and armed fault injectors (penalties are
-        service-time state).
-        """
-        now_us = self.events.now_us
-        ftl = self.ftl
-        targets = []
-        items = []
-        for lpn in range(request.start_lpn,
-                         request.start_lpn + request.page_count):
-            physical = self._physical_for_read(lpn)
-            metadata = ftl.block_metadata(physical)
-            pe_cycles = metadata.pe_cycles
-            retention = metadata.page_retention_months[physical.page]
-            targets.append((lpn, physical, pe_cycles, retention))
-            items.append((physical, ftl.page_type_of(physical), pe_cycles,
-                          retention))
-        prepared, walks = self.backend.peek_read_batch(items)
-        self.metrics.batch_dispatch_calls += walks
-        schedulers = self.schedulers
-        read_kind = TransactionKind.READ
-        for (lpn, physical, pe_cycles, retention), behaviour in zip(
-                targets, prepared):
-            transaction = FlashTransaction(
-                read_kind, lpn, physical.channel, physical.die,
-                physical.plane, physical.block, physical.page, now_us,
-                request, None, physical)
-            if behaviour is not None:
-                transaction.prepared_behaviour = (pe_cycles, retention,
-                                                  behaviour)
             schedulers[(physical.channel, physical.die)].enqueue(transaction)
 
     def _physical_for_read(self, lpn: int) -> PhysicalPage:
@@ -706,18 +636,8 @@ class SsdSimulator:
             pe_cycles = metadata.pe_cycles
             page_type = self.ftl.page_type_of(physical)
             retention = metadata.page_retention_months[transaction.page]
-        prepared = transaction.prepared_behaviour
-        if prepared is not None and prepared[0] == pe_cycles \
-                and prepared[1] == retention:
-            # Dispatch-time batch preparation, still valid for the block's
-            # current condition (GC did not erase it in between).
-            behaviour = self.backend.read_behaviour(
-                physical, page_type, pe_cycles, retention,
-                prepared=prepared[2])
-            self.metrics.batched_completions += 1
-        else:
-            behaviour = self.backend.read_behaviour(
-                physical, page_type, pe_cycles, retention)
+        behaviour = self.backend.read_behaviour(physical, page_type,
+                                                pe_cycles, retention)
         fault_extra = 0
         fault_factor = 1.0
         if self._fault_injector is not None:
@@ -830,36 +750,33 @@ class SsdSimulator:
     # -- garbage collection ------------------------------------------------------------------------
     def _run_gc_if_needed(self) -> None:
         if self.dftl is not None:
-            self._run_dftl_gc_if_needed()
-            return
-        operations = self.gc.collect_if_needed()
+            planes = self.dftl.planes
+            operations = self.dftl.collect_if_needed(self.events.now_us)
+        else:
+            planes = self.ftl.planes
+            operations = self.gc.collect_if_needed()
         for operation in operations:
-            plane = self.ftl.planes[operation.plane_index]
-            for source, destination in zip(operation.relocations,
-                                           operation.destinations):
-                self._enqueue_gc_transaction(TransactionKind.GC_READ, source)
-                self._enqueue_gc_transaction(TransactionKind.GC_PROGRAM,
-                                             destination)
-                self.metrics.gc_programs += 1
-            erase_target = PhysicalPage(plane.channel, plane.die, plane.plane,
-                                        operation.victim_block, 0)
-            self._enqueue_gc_transaction(TransactionKind.ERASE, erase_target)
+            self._enqueue_block_rewrite(operation, planes)
+            self.metrics.gc_programs += operation.relocated_pages
             self.metrics.gc_erases += 1
 
-    def _run_dftl_gc_if_needed(self) -> None:
-        for operation in self.dftl.collect_if_needed(self.events.now_us):
-            plane = self.dftl.planes[operation.plane_index]
-            for source, destination in zip(operation.relocations,
-                                           operation.destinations):
-                self._enqueue_gc_transaction(TransactionKind.GC_READ, source)
-                self._enqueue_gc_transaction(TransactionKind.GC_PROGRAM,
-                                             destination)
-                self.metrics.gc_programs += 1
-            self._issue_translation_ops(operation.translation_ops)
-            erase_target = PhysicalPage(plane.channel, plane.die, plane.plane,
-                                        operation.victim_block, 0)
-            self._enqueue_gc_transaction(TransactionKind.ERASE, erase_target)
-            self.metrics.gc_erases += 1
+    def _enqueue_block_rewrite(self, operation, planes) -> None:
+        """Schedule the flash work of collecting or retiring one block.
+
+        Each valid page is read and re-programmed, then any translation-page
+        updates the relocations caused are issued (DFTL only), and finally
+        the victim block is erased.
+        """
+        for source, destination in zip(operation.relocations,
+                                       operation.destinations):
+            self._enqueue_gc_transaction(TransactionKind.GC_READ, source)
+            self._enqueue_gc_transaction(TransactionKind.GC_PROGRAM,
+                                         destination)
+        self._issue_translation_ops(operation.translation_ops)
+        plane = planes[operation.plane_index]
+        erase_target = PhysicalPage(plane.channel, plane.die, plane.plane,
+                                    operation.victim_block, 0)
+        self._enqueue_gc_transaction(TransactionKind.ERASE, erase_target)
 
     def _enqueue_gc_transaction(self, kind: TransactionKind,
                                 physical: PhysicalPage) -> None:

@@ -39,6 +39,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.nand.geometry import PAGE_TYPE_ORDER, PageType
 from repro.ssd.config import SsdConfig
 from repro.ssd.ftl import PhysicalPage
+from repro.ssd.gc import GcOperation
 
 #: Append-point streams.  Each plane keeps one active block per stream so
 #: host writes, GC relocations and translation pages never interleave
@@ -96,24 +97,6 @@ class DftlBlock:
     @property
     def invalid_count(self) -> int:
         return self.next_free_page - self.valid_count
-
-
-@dataclass
-class DftlGcOperation:
-    """The flash work generated by collecting one victim block."""
-
-    plane_index: int
-    victim_block: int
-    #: Valid pages read out of the victim, and where each landed.
-    relocations: List[PhysicalPage] = field(default_factory=list)
-    destinations: List[PhysicalPage] = field(default_factory=list)
-    #: Batched translation-page updates (one read-modify-write per distinct
-    #: translation page covering the relocated LPNs).
-    translation_ops: List[TranslationOp] = field(default_factory=list)
-
-    @property
-    def relocated_pages(self) -> int:
-        return len(self.relocations)
 
 
 class DftlPlane:
@@ -468,9 +451,9 @@ class DftlMapper:
             plane.set_pe_cycles(pe_cycles)
 
     # -- garbage collection --------------------------------------------------
-    def collect_if_needed(self, now_us: float = 0.0) -> List[DftlGcOperation]:
+    def collect_if_needed(self, now_us: float = 0.0) -> List[GcOperation]:
         """Collect every plane below its trigger watermark up to the stop one."""
-        operations: List[DftlGcOperation] = []
+        operations: List[GcOperation] = []
         for plane_index, plane in enumerate(self.planes):
             if not plane.needs_gc():
                 continue
@@ -482,18 +465,18 @@ class DftlMapper:
                 operations.append(self._collect_block(plane_index, victim, now_us))
         return operations
 
-    def _collect_block(self, plane_index: int, victim: int, now_us: float) -> DftlGcOperation:
+    def _collect_block(self, plane_index: int, victim: int, now_us: float) -> GcOperation:
         operation = self._relocate_block(plane_index, victim, now_us)
         self.gc_relocated_pages += operation.relocated_pages
         self.gc_erased_blocks += 1
         return operation
 
-    def retire_block(self, plane_index: int, block_id: int, now_us: float = 0.0) -> DftlGcOperation:
+    def retire_block(self, plane_index: int, block_id: int, now_us: float = 0.0) -> GcOperation:
         """Retire a grown-bad block, relocating any valid data first.
 
         The block is taken out of service *before* the relocation so no
         relocated page (or freshly opened append block) can land back in
-        it; the resulting :class:`DftlGcOperation` carries the flash work
+        it; the resulting :class:`GcOperation` carries the flash work
         (reads, programs, translation updates, final erase) the controller
         must schedule for die time.  Fault accounting is the caller's —
         this path deliberately leaves the GC counters untouched.
@@ -507,10 +490,10 @@ class DftlMapper:
         plane.retire(block_id)
         return self._relocate_block(plane_index, block_id, now_us)
 
-    def _relocate_block(self, plane_index: int, victim: int, now_us: float) -> DftlGcOperation:
+    def _relocate_block(self, plane_index: int, victim: int, now_us: float) -> GcOperation:
         plane = self.planes[plane_index]
         block = plane.blocks[victim]
-        operation = DftlGcOperation(plane_index=plane_index, victim_block=victim)
+        operation = GcOperation(plane_index=plane_index, victim_block=victim)
         is_translation = block.stream == TRANS_STREAM
         touched_tvpns = set()
         for page, valid in enumerate(block.page_valid):

@@ -10,20 +10,18 @@ model:
   randomly drawn real block),
 * the number of retry steps a read needs — with the default timing
   parameters and with the AR2-reduced ones — is served from a
-  :class:`repro.ssd.retry_grid.RetryStepGrid`, which precomputes the full
-  (condition x page type x variation corner) lattice in vectorized passes
-  and falls back to exact scalar walks for cold conditions,
+  :class:`repro.ssd.retry_grid.RetryStepGrid`, which computes the full
+  (page type x variation corner) slab of a condition in one vectorized pass
+  the first time that condition is read,
 * AR2's rare fallback case (a page that no longer decodes with reduced
   timings) surfaces naturally: the reduced-timing walk may need one more
   step than the default-timing walk, or may fail entirely, in which case the
   controller re-runs the read-retry operation with default timings
   (Section 6.2, "Overhead").
 
-The seed kept an unbounded per-backend dict memo that silently stopped
-caching at 500k entries; the grid replaces it with bounded, explicitly
-evicted storage that is shared across simulators of the same configuration.
-The backend tracks how its queries were served (``grid_hits`` versus
-``scalar_fallbacks``) and the simulator surfaces both counters through
+Grids are bounded (LRU over conditions) and shared across simulators of the
+same configuration.  The backend counts the reads it served (``grid_hits``)
+and the simulator surfaces the count through
 :class:`repro.ssd.metrics.SimulationMetrics`.
 """
 
@@ -70,23 +68,23 @@ class ReadBehaviour:
 class FlashBackend:
     """Maps physical reads to retry-step counts using the error model."""
 
-    def __init__(self, config: SsdConfig,
-                 rpt: ReadTimingParameterTable = None,
-                 error_model: CodewordErrorModel = None,
-                 retry_table: ReadRetryTable = None,
-                 grid=None):
+    def __init__(
+        self,
+        config: SsdConfig,
+        rpt: ReadTimingParameterTable = None,
+        error_model: CodewordErrorModel = None,
+        retry_table: ReadRetryTable = None,
+        grid=None,
+    ):
         self.config = config
-        self._custom_models = (error_model is not None
-                               or retry_table is not None)
+        self._custom_models = error_model is not None or retry_table is not None
         self.error_model = error_model or CodewordErrorModel()
         self.retry_table = retry_table or ReadRetryTable()
         self._rpt = rpt
         self._variation = ProcessVariation(seed=config.seed)
         self._grid = grid
-        #: Reads answered from a precomputed grid slab.
+        #: Reads answered from the grid — every read the backend serves.
         self.grid_hits = 0
-        #: Reads answered by an exact scalar walk (cold condition).
-        self.scalar_fallbacks = 0
 
     @property
     def rpt(self) -> ReadTimingParameterTable:
@@ -106,14 +104,17 @@ class FlashBackend:
             from repro.ssd.retry_grid import RetryStepGrid, shared_grid
 
             if self._custom_models:
-                self._grid = RetryStepGrid(self.config, rpt=self.rpt,
-                                           error_model=self.error_model,
-                                           retry_table=self.retry_table)
+                self._grid = RetryStepGrid(
+                    self.config,
+                    rpt=self.rpt,
+                    error_model=self.error_model,
+                    retry_table=self.retry_table,
+                )
             else:
                 self._grid = shared_grid(self.config, self.rpt)
         return self._grid
 
-    # -- per-block identity ----------------------------------------------------------
+    # -- per-block identity -----------------------------------------------------
     def block_variation(self, physical: PhysicalPage):
         """The process-variation corner of the block containing ``physical``.
 
@@ -125,48 +126,19 @@ class FlashBackend:
         block = physical.plane * self.config.blocks_per_plane + physical.block
         return self._variation.block_sample(chip=chip, block=block)
 
-    # -- main query --------------------------------------------------------------------
-    def read_behaviour(self, physical: PhysicalPage, page_type: PageType,
-                       pe_cycles: int, retention_months: float,
-                       prepared: ReadBehaviour = None) -> ReadBehaviour:
-        """Retry-step counts for a read of ``physical`` under its condition.
-
-        ``prepared`` optionally carries a dispatch-time batch-computed
-        behaviour (see :meth:`peek_read_batch`); it substitutes only for the
-        scalar walk the grid would otherwise run on a memo miss, so the
-        result and the hit/fallback accounting are unchanged.
-        """
+    # -- main query -------------------------------------------------------------
+    def read_behaviour(
+        self,
+        physical: PhysicalPage,
+        page_type: PageType,
+        pe_cycles: int,
+        retention_months: float,
+    ) -> ReadBehaviour:
+        """Retry-step counts for a read of ``physical`` under its condition."""
         chip = physical.channel * self.config.dies_per_channel + physical.die
         block = physical.plane * self.config.blocks_per_plane + physical.block
-        behaviour, from_grid = self.grid.behaviour(
-            page_type, pe_cycles, retention_months, chip, block,
-            prepared=prepared)
-        if from_grid:
-            self.grid_hits += 1
-        else:
-            self.scalar_fallbacks += 1
-        return behaviour
-
-    def peek_read_batch(self, items):
-        """Batch-prepare the behaviours of several upcoming reads, purely.
-
-        :param items: ``(physical, page_type, pe_cycles, retention_months)``
-            per read, in dispatch order.
-        :return: ``(prepared, batch_walks)`` — per-item behaviours (``None``
-            where the grid will serve the read without a scalar walk) and
-            the number of vectorized lattice walks issued.
-
-        Counters are untouched: the query accounting happens when the reads
-        are actually serviced through :meth:`read_behaviour`.
-        """
-        dies_per_channel = self.config.dies_per_channel
-        blocks_per_plane = self.config.blocks_per_plane
-        return self.grid.peek_batch([
-            (page_type, pe_cycles, retention_months,
-             physical.channel * dies_per_channel + physical.die,
-             physical.plane * blocks_per_plane + physical.block)
-            for physical, page_type, pe_cycles, retention_months in items
-        ])
+        self.grid_hits += 1
+        return self.grid.behaviour(page_type, pe_cycles, retention_months, chip, block)
 
     def prefill_conditions(self, conditions) -> None:
         """Vectorize the slabs of conditions known to be coming.

@@ -27,6 +27,9 @@ class GcOperation:
     relocations: List[PhysicalPage] = field(default_factory=list)
     #: Where each relocated page landed.
     destinations: List[PhysicalPage] = field(default_factory=list)
+    #: Translation-page traffic the relocations caused: batched DFTL mapping
+    #: updates under ``mapping="page"``, always empty under block mapping.
+    translation_ops: list = field(default_factory=list)
 
     @property
     def relocated_pages(self) -> int:

@@ -301,7 +301,6 @@ class SimulationMetrics:
         "grid_hits",
         "scalar_fallbacks",
         "batched_completions",
-        "batch_dispatch_calls",
         "control_barriers",
         "control_marks",
         "control_discards",
@@ -339,15 +338,14 @@ class SimulationMetrics:
         self.mapping_cache_misses = 0
         self.reduced_timing_fallbacks = 0
         self.simulated_time_us = 0.0
-        #: Reads whose retry behaviour came from a precomputed grid slab.
+        #: Reads whose retry behaviour came from a retry-grid slab — every
+        #: flash read with a retry walk (host and GC reads alike).
         self.grid_hits = 0
-        #: Reads that needed an exact scalar walk (cold condition).
+        #: Always 0: every read is served from its condition's slab, and no
+        #: read is completed from a dispatch-time batch.  Both stay in the
+        #: summary only because existing benchmark reports read them.
         self.scalar_fallbacks = 0
-        #: Page reads whose retry behaviour was consumed from a dispatch-time
-        #: batch preparation, and the vectorized lattice walks those
-        #: preparations issued (batched same-die completion).
         self.batched_completions = 0
-        self.batch_dispatch_calls = 0
         #: In-stream control events (``RequestKind.BARRIER``/``MARK``/
         #: ``DISCARD``) seen by the controller, and logical pages actually
         #: unmapped by discards; all stay zero on control-free streams.
@@ -624,7 +622,6 @@ class SimulationMetrics:
             "grid_hits": self.grid_hits,
             "scalar_fallbacks": self.scalar_fallbacks,
             "batched_completions": self.batched_completions,
-            "batch_dispatch_calls": self.batch_dispatch_calls,
             "control_barriers": self.control_barriers,
             "control_marks": self.control_marks,
             "control_discards": self.control_discards,

@@ -5,7 +5,8 @@ read or write of one or more consecutive logical pages, stamped with an
 arrival time.  The controller splits it into per-page *flash transactions*
 that are scheduled independently on the dies; the request completes when its
 last transaction completes (reads) or when its data is accepted by the write
-buffer (writes).
+buffer (writes).  A read transaction learns its retry behaviour when a die
+services it, from the block's condition at that moment.
 
 Host requests are treated as *immutable inputs* by the simulator: per-run
 completion state lives in simulator-local bookkeeping, so the same request
@@ -154,10 +155,9 @@ class FlashTransaction:
     """One page-granularity operation dispatched to a die.
 
     ``remaining_service_us`` / ``was_suspended`` are written by the die
-    scheduler when a program or erase is suspended; ``response_us`` and
-    ``prepared_behaviour`` are written by the controller's read path (the
-    latter carries a dispatch-time batch-prepared retry behaviour to the
-    service-time consumer, see ``SsdSimulator._start_read_request``).
+    scheduler when a program or erase is suspended; ``retry_steps`` and
+    ``response_us`` are written by the controller's read path when the
+    transaction is serviced.
     """
 
     __slots__ = (
@@ -178,7 +178,6 @@ class FlashTransaction:
         "response_us",
         "remaining_service_us",
         "was_suspended",
-        "prepared_behaviour",
     )
 
     def __init__(
@@ -216,7 +215,6 @@ class FlashTransaction:
         self.response_us: Optional[float] = None
         self.remaining_service_us: Optional[float] = None
         self.was_suspended = False
-        self.prepared_behaviour = None
 
     @property
     def is_read(self) -> bool:

@@ -2,25 +2,22 @@
 
 Every simulated read needs a :class:`~repro.ssd.flash_backend.ReadBehaviour`
 for its (operating condition, page type, per-block variation corner).  The
-seed implementation walked the retry table twice per novel key and memoized
-into an unbounded dict that silently stopped caching at 500k entries.  This
-module replaces that with a *grid*:
+paper's simulator answers it from a per-block lookup table of retry steps
+(Section 7.1); this module is that table, organised as a *grid*:
 
 * the variation corners of an SSD are a fixed, enumerable lattice (one
   corner per physical block, derived deterministically from the config
   seed), so for any operating condition the behaviours of **all** corners
-  and page types can be computed in one vectorized pass through
+  and page types are computed in one vectorized pass through
   :class:`repro.errors.batch.BatchErrorModel` — bit-for-bit equal to the
-  scalar walks;
+  scalar retry-table walks (``tests/test_ssd_retry_grid.py`` keeps the
+  scalar walk as the reference oracle);
 * conditions are discovered at run time (the preconditioned condition, the
-  fresh-write condition, and P/E levels GC creates), so the grid fills
-  per-condition *slabs* lazily: the first few queries of a novel condition
-  are served by exact scalar walks, and once a condition proves hot its
-  whole slab is built vectorized;
-* slabs and the scalar memo are bounded with **explicit** eviction policies
-  (LRU slabs, FIFO scalar memo — no silent stop-caching cliff), and slabs
-  can be serialized so sweep/suite workers install a parent-built grid
-  instead of recomputing.
+  fresh-write condition, and P/E levels GC creates), so the grid builds a
+  condition's *slab* on its first read — one path serves every read;
+* slabs are bounded by an explicit LRU policy (DFTL garbage collection
+  creates a stream of new (P/E, 0) conditions), and can be serialized so
+  sweep/suite workers install a parent-built grid instead of recomputing.
 
 Grids are shared process-wide per (geometry, seed, temperature, RPT): every
 simulator with default error models gets the same grid, so repeated runs —
@@ -39,7 +36,6 @@ from repro.core.rpt import ReadTimingParameterTable
 from repro.errors.batch import BatchErrorModel, VariationArrays
 from repro.errors.condition import OperatingCondition
 from repro.errors.rber import CodewordErrorModel
-from repro.errors.timing import TimingReduction
 from repro.errors.variation import ProcessVariation
 from repro.nand.geometry import PageType
 from repro.nand.voltage import ReadRetryTable
@@ -69,13 +65,7 @@ def rpt_fingerprint(rpt: ReadTimingParameterTable) -> tuple:
 class RetryStepGrid:
     """Lazily filled (condition x page type x corner) behaviour lattice.
 
-    :param promote_threshold: scalar queries a novel condition absorbs
-        before its full slab is built vectorized.  ``None`` scales the
-        threshold with the corner count so small configs build immediately
-        and huge configs only vectorize conditions that are actually hot.
     :param max_conditions: bound on cached slabs (LRU eviction).
-    :param max_scalar_entries: bound on the scalar memo (FIFO eviction) —
-        the explicit replacement of the seed's silent 500k stop-caching cap.
     """
 
     def __init__(
@@ -84,9 +74,7 @@ class RetryStepGrid:
         rpt: ReadTimingParameterTable = None,
         error_model: CodewordErrorModel = None,
         retry_table: ReadRetryTable = None,
-        promote_threshold: Optional[int] = None,
         max_conditions: int = 64,
-        max_scalar_entries: int = 262_144,
     ):
         self.config = config
         self.error_model = error_model or CodewordErrorModel()
@@ -96,17 +84,9 @@ class RetryStepGrid:
         self._variation = ProcessVariation(seed=config.seed)
         self._variation_arrays: Optional[VariationArrays] = None
         self.max_conditions = max_conditions
-        self.max_scalar_entries = max_scalar_entries
-        if promote_threshold is None:
-            promote_threshold = max(1, self.corner_count // 160)
-        self.promote_threshold = promote_threshold
 
         #: condition key -> slab (recency-ordered for LRU eviction).
         self._slabs: "OrderedDict[tuple, Slab]" = OrderedDict()
-        #: scalar queries seen per not-yet-promoted condition key.
-        self._pending_queries: Dict[tuple, int] = {}
-        #: (condition key, page type, corner) -> ReadBehaviour
-        self._scalar_memo: "OrderedDict[tuple, ReadBehaviour]" = OrderedDict()
         #: (steps, reduced, fallback) -> the one shared ReadBehaviour object.
         self._interned: Dict[tuple, ReadBehaviour] = {}
         self.slab_builds = 0
@@ -163,14 +143,9 @@ class RetryStepGrid:
         return len(self._slabs)
 
     @property
-    def scalar_memo_size(self) -> int:
-        return len(self._scalar_memo)
-
-    @property
     def cache_size(self) -> int:
-        """Total cached behaviours (slab entries plus scalar memo)."""
-        per_slab = self.corner_count * len(PageType)
-        return len(self._slabs) * per_slab + len(self._scalar_memo)
+        """Total cached behaviours (every slab holds all corners and page types)."""
+        return len(self._slabs) * self.corner_count * len(PageType)
 
     # -- main query -----------------------------------------------------------
     def behaviour(
@@ -180,126 +155,23 @@ class RetryStepGrid:
         retention_months: float,
         chip: int,
         block: int,
-        prepared: Optional[ReadBehaviour] = None,
-    ) -> Tuple[ReadBehaviour, bool]:
-        """Behaviour of one read; the flag reports a grid (slab) hit.
+    ) -> ReadBehaviour:
+        """Behaviour of one read, served from its condition's slab.
 
-        Slab lookups and scalar fallbacks are computed from the *exact*
-        per-block variation sample, so results are independent of query
-        order (the seed's rounded-key memo could alias two nearby corners
-        depending on which was read first).
-
-        ``prepared`` is a dispatch-time batch-computed behaviour for this
-        exact (condition, page type, corner) — see :meth:`peek_batch`.  It
-        substitutes only for the scalar walk on a memo miss; slab lookups,
-        promotion, pending counts and memo maintenance are untouched, so the
-        grid's state trajectory is identical with and without it.
+        The first read under a condition builds that condition's slab; the
+        lookup uses the *exact* per-block variation sample, so results are
+        independent of query order.
         """
         key = (pe_cycles, retention_months)
         slab = self._slabs.get(key)
-        corner = chip * self.blocks_per_chip + block
-        if slab is not None:
+        if slab is None:
+            slab = self._build_slab(key)
+        else:
             # LRU touch: long GC-heavy runs create a stream of (pe, 0.0)
             # conditions, and without recency the hot preconditioned slab
             # would be the first one evicted.
             self._slabs.move_to_end(key)
-            return slab[page_type][corner], True
-
-        queries = self._pending_queries.get(key, 0) + 1
-        if queries >= self.promote_threshold:
-            slab = self._build_slab(key)
-            return slab[page_type][corner], True
-        self._pending_queries[key] = queries
-
-        memo_key = (key, page_type, corner)
-        behaviour = self._scalar_memo.get(memo_key)
-        if behaviour is None:
-            if prepared is not None:
-                behaviour = prepared
-            else:
-                behaviour = self._scalar_behaviour(key, page_type, chip, block)
-            if len(self._scalar_memo) >= self.max_scalar_entries:
-                self._scalar_memo.popitem(last=False)
-            self._scalar_memo[memo_key] = behaviour
-        return behaviour, False
-
-    # -- dispatch-time batch preparation --------------------------------------
-    def peek_batch(
-        self,
-        items: Sequence[Tuple[PageType, int, float, int, int]],
-    ) -> Tuple[List[Optional[ReadBehaviour]], int]:
-        """Batch-compute the behaviours a group of reads will need, purely.
-
-        :param items: ``(page_type, pe_cycles, retention_months, chip,
-            block)`` per read, in dispatch order.
-        :return: per-item prepared behaviours (``None`` where the service-
-            time query is predicted to be served from a slab or the scalar
-            memo) and the number of vectorized lattice walks issued.
-
-        This is the read-side of batched same-die completion: instead of N
-        scalar retry-table walks when N reads of a request resolve cold, the
-        distinct cold conditions are each walked once through the vectorized
-        :class:`~repro.errors.batch.BatchErrorModel` restricted to the
-        corners and page types actually referenced.  The method inspects the
-        slab/memo/pending state WITHOUT mutating it (``OrderedDict.get``
-        does not reorder, so LRU/FIFO trajectories are unaffected); the only
-        side effect is interning, which dedupes immutable value objects and
-        is observability-neutral.  Predictions may go stale before service
-        (GC can rebuild the block, interleaved queries can promote the
-        condition): a prepared value handed to :meth:`behaviour` is consumed
-        only on the exact branch it precomputes, so a stale or superfluous
-        prediction costs nothing but the preparation itself.
-        """
-        prepared: List[Optional[ReadBehaviour]] = [None] * len(items)
-        cold: "OrderedDict[tuple, List[Tuple[int, PageType, int]]]" = OrderedDict()
-        batch_queries: Dict[tuple, int] = {}
-        for index, (page_type, pe_cycles, retention_months, chip, block) in enumerate(items):
-            key = (pe_cycles, retention_months)
-            if key in self._slabs:
-                continue
-            # Count this batch's earlier same-condition queries: each one
-            # bumps the pending counter at service time, so a condition that
-            # crosses the promote threshold mid-batch slab-serves the rest.
-            seen = batch_queries.get(key, 0)
-            batch_queries[key] = seen + 1
-            if self._pending_queries.get(key, 0) + seen + 1 >= self.promote_threshold:
-                continue
-            corner = chip * self.blocks_per_chip + block
-            if (key, page_type, corner) in self._scalar_memo:
-                continue
-            cold.setdefault(key, []).append((index, page_type, corner))
-        walks = 0
-        for key, group in cold.items():
-            pe_cycles, retention_months = key
-            condition = OperatingCondition(
-                pe_cycles=pe_cycles,
-                retention_months=retention_months,
-                temperature_c=self.config.temperature_c,
-            )
-            entry = self.rpt.entry_for(pe_cycles, retention_months)
-            corners = sorted({corner for _, _, corner in group})
-            needed = {page_type for _, page_type, _ in group}
-            page_types = tuple(p for p in PageType if p in needed)
-            lattice = self._batch.read_behaviour_lattice(
-                condition,
-                self.variation_arrays().take(np.array(corners, dtype=np.intp)),
-                pre_reduction=entry.pre_reduction,
-                page_types=page_types,
-                table=self.retry_table,
-            )
-            walks += 1
-            position = {corner: offset for offset, corner in enumerate(corners)}
-            behaviours = {
-                page_type: self._intern_lattice(
-                    batch.retry_steps,
-                    batch.retry_steps_reduced,
-                    batch.reduced_timing_fallback,
-                )
-                for page_type, batch in lattice.items()
-            }
-            for index, page_type, corner in group:
-                prepared[index] = behaviours[page_type][position[corner]]
-        return prepared, walks
+        return slab[page_type][chip * self.blocks_per_chip + block]
 
     # -- slab construction ----------------------------------------------------
     def prefill(self, conditions: Iterable[Tuple[int, float]]) -> None:
@@ -344,7 +216,6 @@ class RetryStepGrid:
         while len(self._slabs) >= self.max_conditions:
             self._slabs.popitem(last=False)
         self._slabs[key] = slab
-        self._pending_queries.pop(key, None)
 
     def _intern_lattice(
         self,
@@ -366,55 +237,6 @@ class RetryStepGrid:
                 interned[signature] = behaviour
             behaviours.append(behaviour)
         return behaviours
-
-    # -- scalar fallback ------------------------------------------------------
-    def _scalar_behaviour(
-        self,
-        key: tuple,
-        page_type: PageType,
-        chip: int,
-        block: int,
-    ) -> ReadBehaviour:
-        """One exact scalar evaluation (cold conditions, pre-promotion)."""
-        pe_cycles, retention_months = key
-        condition = OperatingCondition(
-            pe_cycles=pe_cycles,
-            retention_months=retention_months,
-            temperature_c=self.config.temperature_c,
-        )
-        variation = self._variation.block_sample(chip=chip, block=block)
-        default_walk = self.error_model.walk_retry_table(
-            condition,
-            page_type,
-            table=self.retry_table,
-            variation=variation,
-        )
-        if default_walk.retry_steps is None:
-            default_steps = self.retry_table.num_entries
-        else:
-            default_steps = default_walk.retry_steps
-
-        entry = self.rpt.entry_for(pe_cycles, retention_months)
-        if entry.pre_reduction > 0.0 and default_steps > 0:
-            reduction = TimingReduction(pre=entry.pre_reduction)
-            reduced_walk = self.error_model.walk_retry_table(
-                condition,
-                page_type,
-                table=self.retry_table,
-                variation=variation,
-                retry_timing_reduction=reduction,
-            )
-            if reduced_walk.retry_steps is None:
-                signature = (default_steps, default_steps, True)
-            else:
-                signature = (default_steps, reduced_walk.retry_steps, False)
-        else:
-            signature = (default_steps, default_steps, False)
-        behaviour = self._interned.get(signature)
-        if behaviour is None:
-            behaviour = ReadBehaviour(*signature)
-            self._interned[signature] = behaviour
-        return behaviour
 
     # -- worker hand-off ------------------------------------------------------
     def export_slabs(self, conditions: Iterable[Tuple[int, float]] = None) -> List[dict]:

@@ -33,6 +33,17 @@ class TestReporting:
         text = result.to_text(max_rows=3)
         assert "more rows" in text
 
+    def test_to_text_zero_rows_prints_header_only(self):
+        result = ExperimentResult(name="x", title="T",
+                                  rows=[{"a": i} for i in range(4)])
+        lines = result.to_text(max_rows=0).splitlines()
+        assert lines[-3:] == ["a", "-", "... (4 more rows)"]
+
+    def test_to_text_rejects_negative_row_limit(self):
+        result = ExperimentResult(name="x", title="T", rows=[{"a": 1}])
+        with pytest.raises(ValueError):
+            result.to_text(max_rows=-1)
+
     def test_empty_result_renders(self):
         assert "T" in ExperimentResult(name="x", title="T").to_text()
 

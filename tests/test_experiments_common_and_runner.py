@@ -94,6 +94,19 @@ class TestRunnerCli:
         assert exit_code == 0
         assert "Figure 11" in capsys.readouterr().out
 
+    def test_cli_max_rows_zero_prints_header_only(self, capsys):
+        exit_code = runner_main(["run", "table1", "--max-rows", "0"])
+        assert exit_code == 0
+        assert "more rows)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [["run", "table1"],
+                                         ["show", "table1"]])
+    def test_cli_rejects_negative_max_rows(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            runner_main(command + ["--max-rows", "-1"])
+        assert exit_info.value.code == 2
+        assert "--max-rows" in capsys.readouterr().err
+
     def test_cli_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):
             runner_main(["figure-zero"])

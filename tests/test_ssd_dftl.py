@@ -10,6 +10,8 @@ wear-dynamics counters flow into :class:`SimulationMetrics`, sweep rows and
 fleet aggregation.
 """
 
+import re
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -368,6 +370,39 @@ class TestPageModeIntegration:
     def test_mapper_state_is_consistent_after_run(self, page_mode_result):
         simulator, _ = page_mode_result
         simulator.dftl.check_consistency()
+
+    def test_gc_enqueue_order(self):
+        """Each collected block is relocated page by page, then its batched
+        translation updates are issued, then it is erased."""
+        simulator = SsdSimulator(small_config(), policy="Baseline",
+                                 rpt=ReadTimingParameterTable.default())
+        simulator.precondition(pe_cycles=100, retention_months=1.0,
+                               fill_fraction=0.5)
+        enqueued = []
+        for scheduler in simulator.schedulers.values():
+            original = scheduler.enqueue
+
+            def record(transaction, original=original):
+                enqueued.append(transaction.kind.name)
+                original(transaction)
+
+            scheduler.enqueue = record
+        blocks = []
+        for step in range(200):
+            simulator._issue_program(step % 6, None)
+            enqueued.clear()
+            simulator._run_gc_if_needed()
+            if enqueued:
+                blocks.append(" ".join(enqueued))
+        assert blocks
+        pattern = re.compile(r"((GC_READ GC_PROGRAM )*(TRANS_\w+ )*ERASE ?)+")
+        for block in blocks:
+            assert pattern.fullmatch(block), block
+        assert any("TRANS_PROGRAM" in block for block in blocks)
+        assert simulator.metrics.gc_erases == sum(
+            block.count("ERASE") for block in blocks)
+        assert simulator.metrics.gc_programs == sum(
+            block.count("GC_PROGRAM") for block in blocks)
 
     def test_summary_surfaces_wear_columns(self, page_mode_result):
         _, result = page_mode_result

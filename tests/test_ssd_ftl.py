@@ -1,6 +1,8 @@
 """Tests for the page-mapping FTL."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nand.geometry import PageType
 from repro.ssd.config import SsdConfig
@@ -121,3 +123,59 @@ class TestPlaneManager:
     def test_needs_gc_threshold(self, ftl):
         plane = ftl.planes[0]
         assert not plane.needs_gc()
+
+
+def _loop_preconditioned(config, pages, retention_months, pe_cycles):
+    """The per-LPN reference: write each LPN in order, then age uniformly."""
+    ftl = FlashTranslationLayer(config)
+    for lpn in range(pages):
+        ftl.write(lpn, retention_months=retention_months)
+    ftl.set_uniform_pe_cycles(pe_cycles)
+    return ftl
+
+
+def _assert_ftl_state_equal(filled, looped):
+    assert filled._mapping == looped._mapping
+    # Mapping *insertion order* feeds iteration downstream; compare it too.
+    assert list(filled._mapping) == list(looped._mapping)
+    assert filled._next_plane == looped._next_plane
+    for plane_fill, plane_loop in zip(filled.planes, looped.planes):
+        assert plane_fill._active_block == plane_loop._active_block
+        assert plane_fill._filled_blocks == plane_loop._filled_blocks
+        assert plane_fill._free_blocks == plane_loop._free_blocks
+        for block_fill, block_loop in zip(plane_fill.blocks,
+                                          plane_loop.blocks):
+            assert block_fill.page_lpns == block_loop.page_lpns
+            assert (block_fill.page_retention_months
+                    == block_loop.page_retention_months)
+            assert block_fill.next_free_page == block_loop.next_free_page
+            assert block_fill.valid_count == block_loop.valid_count
+            assert block_fill.pe_cycles == block_loop.pe_cycles
+
+
+class TestPreconditionFillEquivalence:
+    @given(st.integers(min_value=0, max_value=1),
+           st.sampled_from([0.0, 0.1, 0.5, 0.62, 0.85, 1.0]))
+    @settings(max_examples=12, deadline=None)
+    def test_closed_form_matches_write_loop(self, aged, fill_fraction):
+        config = SsdConfig.tiny()
+        pages = int(config.logical_pages * fill_fraction)
+        retention = 6.0 if aged else 0.0
+        pe_cycles = 1000 if aged else 0
+        filled = FlashTranslationLayer(config)
+        filled.precondition_fill(pages, retention_months=retention,
+                                 pe_cycles=pe_cycles)
+        looped = _loop_preconditioned(config, pages, retention, pe_cycles)
+        _assert_ftl_state_equal(filled, looped)
+
+    def test_non_fresh_ftl_falls_back_to_loop(self):
+        config = SsdConfig.tiny()
+        filled = FlashTranslationLayer(config)
+        filled.write(3)  # any prior write voids the closed form
+        filled.precondition_fill(16, retention_months=6.0, pe_cycles=500)
+        looped = FlashTranslationLayer(config)
+        looped.write(3)
+        for lpn in range(16):
+            looped.write(lpn, retention_months=6.0)
+        looped.set_uniform_pe_cycles(500)
+        _assert_ftl_state_equal(filled, looped)

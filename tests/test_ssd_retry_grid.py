@@ -1,16 +1,22 @@
-"""The retry-step grid: slab building, lazy promotion, eviction, sharing."""
+"""The retry-step grid: slab building, eviction, sharing, and the scalar oracle."""
 
 import pickle
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.rpt import ReadTimingParameterTable
+from repro.errors.condition import OperatingCondition
 from repro.errors.rber import CodewordErrorModel
+from repro.errors.timing import TimingReduction
+from repro.errors.variation import ProcessVariation
 from repro.nand.geometry import PageType
 from repro.nand.voltage import ReadRetryTable
 from repro.ssd.config import SsdConfig
 from repro.ssd.controller import SsdSimulator
-from repro.ssd.flash_backend import FlashBackend
+from repro.ssd.flash_backend import FlashBackend, ReadBehaviour
 from repro.ssd.ftl import PhysicalPage
 from repro.ssd.request import HostRequest, RequestKind
 from repro.ssd.retry_grid import (
@@ -19,6 +25,37 @@ from repro.ssd.retry_grid import (
     rpt_fingerprint,
     shared_grid,
 )
+
+
+def scalar_behaviour(grid, pe_cycles, retention_months, page_type, chip, block):
+    """Reference oracle: one read's behaviour from exact scalar table walks.
+
+    Walks the retry table once with default timings and, when the RPT
+    reduces tPRE for this condition, once more with the reduced timings —
+    the recipe every slab entry must reproduce bit for bit.
+    """
+    condition = OperatingCondition(
+        pe_cycles=pe_cycles,
+        retention_months=retention_months,
+        temperature_c=grid.config.temperature_c,
+    )
+    variation = ProcessVariation(seed=grid.config.seed).block_sample(
+        chip=chip, block=block)
+    default_walk = grid.error_model.walk_retry_table(
+        condition, page_type, table=grid.retry_table, variation=variation)
+    if default_walk.retry_steps is None:
+        default_steps = grid.retry_table.num_entries
+    else:
+        default_steps = default_walk.retry_steps
+    entry = grid.rpt.entry_for(pe_cycles, retention_months)
+    if entry.pre_reduction > 0.0 and default_steps > 0:
+        reduced_walk = grid.error_model.walk_retry_table(
+            condition, page_type, table=grid.retry_table, variation=variation,
+            retry_timing_reduction=TimingReduction(pre=entry.pre_reduction))
+        if reduced_walk.retry_steps is None:
+            return ReadBehaviour(default_steps, default_steps, True)
+        return ReadBehaviour(default_steps, reduced_walk.retry_steps, False)
+    return ReadBehaviour(default_steps, default_steps, False)
 
 
 @pytest.fixture()
@@ -52,48 +89,51 @@ class TestSlabLifecycle:
         grid.prefill([(1000, 6.0)])
         assert grid.cached_conditions == 1
         assert grid.slab_builds == 1
-        behaviour, from_grid = grid.behaviour(PageType.CSB, 1000, 6.0, 0, 3)
-        assert from_grid
+        behaviour = grid.behaviour(PageType.CSB, 1000, 6.0, 0, 3)
+        assert grid.slab_builds == 1
         assert behaviour.retry_steps > 0
 
-    def test_grid_matches_scalar_fallback(self, config, default_rpt):
-        """The slab and the scalar path must agree behaviour-for-behaviour."""
-        eager = RetryStepGrid(config, rpt=default_rpt, promote_threshold=1)
-        lazy = RetryStepGrid(config, rpt=default_rpt,
-                             promote_threshold=10_000)
-        for page_type in PageType:
-            for chip in range(eager.chips):
-                for block in (0, 7, 15):
-                    fast, from_grid = eager.behaviour(page_type, 2000, 12.0,
-                                                      chip, block)
-                    slow, from_slab = lazy.behaviour(page_type, 2000, 12.0,
-                                                     chip, block)
-                    assert from_grid and not from_slab
-                    assert fast == slow
+    @pytest.mark.parametrize("pe_cycles, retention_months",
+                             [(0, 0.0), (1000, 6.0), (2000, 1.0),
+                              (3000, 12.0)])
+    def test_slab_matches_scalar_oracle(self, config, default_rpt, pe_cycles,
+                                        retention_months):
+        """Every slab entry equals the exact scalar walks of its corner."""
+        grid = RetryStepGrid(config, rpt=default_rpt)
+        corners = random.Random(pe_cycles).sample(range(grid.corner_count), 12)
+        for corner in sorted(set(corners) | {0, grid.corner_count - 1}):
+            chip, block = divmod(corner, grid.blocks_per_chip)
+            for page_type in PageType:
+                got = grid.behaviour(page_type, pe_cycles, retention_months,
+                                     chip, block)
+                assert got == scalar_behaviour(grid, pe_cycles,
+                                               retention_months, page_type,
+                                               chip, block)
+        assert grid.slab_builds == 1
 
-    def test_promotion_after_threshold(self, config, default_rpt):
-        grid = RetryStepGrid(config, rpt=default_rpt, promote_threshold=3)
-        for query in range(2):
-            _, from_grid = grid.behaviour(PageType.LSB, 500, 3.0, 0, query)
-            assert not from_grid
+    def test_first_query_builds_the_slab(self, grid):
         assert grid.cached_conditions == 0
-        _, from_grid = grid.behaviour(PageType.LSB, 500, 3.0, 0, 2)
-        assert from_grid
+        first = grid.behaviour(PageType.LSB, 500, 3.0, 0, 0)
         assert grid.cached_conditions == 1
+        assert grid.slab_builds == 1
+        assert grid.behaviour(PageType.LSB, 500, 3.0, 0, 0) is first
+        grid.behaviour(PageType.MSB, 500, 3.0, 1, 4)
+        assert grid.slab_builds == 1
 
     def test_slab_eviction_is_bounded(self, config, default_rpt):
-        grid = RetryStepGrid(config, rpt=default_rpt, promote_threshold=1,
-                             max_conditions=2)
+        grid = RetryStepGrid(config, rpt=default_rpt, max_conditions=2)
         for pe_cycles in (100, 200, 300, 400):
             grid.behaviour(PageType.CSB, pe_cycles, 0.0, 0, 0)
         assert grid.cached_conditions == 2
 
-    def test_scalar_memo_eviction_is_bounded(self, config, default_rpt):
-        grid = RetryStepGrid(config, rpt=default_rpt,
-                             promote_threshold=10_000, max_scalar_entries=5)
-        for block in range(8):
-            grid.behaviour(PageType.CSB, 1000, 6.0, 0, block)
-        assert grid.scalar_memo_size <= 5
+    def test_eviction_keeps_the_recently_read_slab(self, config, default_rpt):
+        grid = RetryStepGrid(config, rpt=default_rpt, max_conditions=2)
+        grid.prefill([(2000, 12.0)])
+        for pe_cycles in (100, 200, 300):
+            grid.behaviour(PageType.CSB, 2000, 12.0, 0, 0)
+            grid.behaviour(PageType.CSB, pe_cycles, 0.0, 0, 0)
+        assert grid.export_slabs([(2000, 12.0)])
+        assert grid.slab_builds == 4
 
 
 class TestSlabSerialization:
@@ -107,11 +147,10 @@ class TestSlabSerialization:
         assert target.slab_builds == 0
         for page_type in PageType:
             for block in (0, 9):
-                original, _ = source.behaviour(page_type, 1000, 6.0, 1, block)
-                installed, from_grid = target.behaviour(page_type, 1000, 6.0,
-                                                        1, block)
-                assert from_grid
+                original = source.behaviour(page_type, 1000, 6.0, 1, block)
+                installed = target.behaviour(page_type, 1000, 6.0, 1, block)
                 assert installed == original
+        assert target.slab_builds == 0
 
     def test_install_skips_existing_conditions(self, config, default_rpt):
         source = RetryStepGrid(config, rpt=default_rpt)
@@ -169,11 +208,13 @@ class TestSimulatorIntegration:
                     for i in range(30)]
         result = simulator.run(requests)
         metrics = result.metrics
-        assert metrics.grid_hits > 0
-        assert metrics.grid_hits + metrics.scalar_fallbacks >= 30
+        assert metrics.grid_hits >= 30
+        assert metrics.scalar_fallbacks == 0
+        assert metrics.batched_completions == 0
         summary = metrics.summary()
         assert summary["grid_hits"] == metrics.grid_hits
-        assert summary["scalar_fallbacks"] == metrics.scalar_fallbacks
+        assert summary["scalar_fallbacks"] == 0
+        assert summary["batched_completions"] == 0
 
     def test_preconditioned_reads_hit_the_grid(self, config, default_rpt):
         simulator = SsdSimulator(config, policy="Baseline", rpt=default_rpt)
@@ -181,6 +222,70 @@ class TestSimulatorIntegration:
         requests = [HostRequest(i * 50.0, RequestKind.READ, i * 3)
                     for i in range(20)]
         result = simulator.run(requests)
-        # The cold-data slab was prefilled, so no read needed a scalar walk.
         assert result.metrics.scalar_fallbacks == 0
         assert result.metrics.grid_hits >= 20
+
+
+def _trace(entries, footprint):
+    """Build a nondecreasing-arrival request list from draw tuples."""
+    requests = []
+    time_us = 0.0
+    for is_read, lpn, pages, gap_us in entries:
+        time_us += gap_us
+        requests.append(HostRequest(
+            arrival_us=time_us,
+            kind=RequestKind.READ if is_read else RequestKind.WRITE,
+            start_lpn=lpn % footprint,
+            page_count=pages,
+        ))
+    return requests
+
+
+def _run_trace(config, requests, rpt, private_grid):
+    completions = []
+    simulator = SsdSimulator(config, policy="PnAR2", rpt=rpt)
+    if private_grid:
+        simulator.backend._grid = RetryStepGrid(config,
+                                                rpt=simulator.backend.rpt)
+    simulator.precondition(pe_cycles=1500, retention_months=9.0)
+    simulator.on_request_complete = (
+        lambda request, now_us: completions.append(
+            (request.request_id, now_us)))
+    result = simulator.run(requests)
+    return result, completions
+
+
+class TestGridStateIndependence:
+    """A fresh private grid and the process-wide shared grid — which has
+    already built slabs for earlier runs — serve identical behaviours."""
+
+    # Multi-page reads on a small geometry collide on the same die;
+    # interleaved writes remap pages into fresh blocks, so the trace reads
+    # under two conditions (aged cold data and rewrites) and GC adds more.
+    entries = st.lists(
+        st.tuples(
+            st.booleans(),
+            st.integers(min_value=0, max_value=10_000),
+            st.integers(min_value=1, max_value=8),
+            st.floats(min_value=0.0, max_value=400.0,
+                      allow_nan=False, allow_infinity=False),
+        ),
+        min_size=1, max_size=40,
+    )
+
+    @given(entries)
+    @settings(max_examples=25, deadline=None)
+    def test_private_and_shared_grids_bitwise(self, default_rpt, entries):
+        config = SsdConfig(channels=2, dies_per_channel=2, planes_per_die=2,
+                           blocks_per_plane=64, pages_per_block=16,
+                           write_buffer_pages=16)
+        requests = _trace(entries, config.logical_pages)
+        private, private_completions = _run_trace(config, requests,
+                                                  default_rpt, True)
+        shared, shared_completions = _run_trace(config, requests,
+                                                default_rpt, False)
+
+        # Per-request completion times: exact float equality, same order.
+        assert private_completions == shared_completions
+        assert private.metrics.summary() == shared.metrics.summary()
+        assert shared.metrics.scalar_fallbacks == 0
