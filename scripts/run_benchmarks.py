@@ -129,7 +129,7 @@ def _memory_child() -> int:
     from repro.core.rpt import ReadTimingParameterTable
     from repro.ssd.config import SsdConfig
     from repro.ssd.controller import SsdSimulator
-    from repro.workloads import iter_workload
+    from repro.workloads import catalog_workload
 
     config = SsdConfig.tiny()
     footprint = int(config.logical_pages * 0.5)
@@ -142,13 +142,9 @@ def _memory_child() -> int:
     # The arrival rate keeps the device below saturation — in a saturated
     # run the in-flight backlog itself grows with trace length, which would
     # measure queueing collapse instead of the streaming core's memory.
-    stream = iter_workload(
-        "YCSB-C",
-        MEMORY_MICRO_REQUESTS,
-        footprint,
-        seed=1,
-        mean_interarrival_us=1500.0,
-    )
+    stream = catalog_workload(
+        "YCSB-C", footprint, seed=1, mean_interarrival_us=1500.0
+    ).iter_requests(MEMORY_MICRO_REQUESTS)
     before_kib = _current_rss_kib()
     started = time.perf_counter()
     result = simulator.run(stream)

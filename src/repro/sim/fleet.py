@@ -28,9 +28,9 @@ the array sustain under a p99 SLO?".  This module answers both:
 
 The runner is a thin front-end over the dispatch core it shares with
 :class:`~repro.sim.sweep.SweepRunner` (see :mod:`repro.sim.sweep`): one
-:class:`~repro.sim.sweep.WorkerPool`, one retry-grid slab transport
-(:func:`~repro.ssd.slab_transport.grid_transport`, shared memory with an
-inline fallback) and one aged-device builder
+:class:`~repro.sim.sweep.WorkerPool`, one parent-side retry-grid prefill
+(:func:`~repro.ssd.retry_grid.prefill_shared_grid`, inherited by forked
+workers) and one aged-device builder
 (:func:`~repro.ssd.controller.aged_simulator`).  What stays fleet-only are
 the two levers that keep 10k-device fleets tractable:
 
@@ -69,8 +69,7 @@ from repro.ssd.controller import DEFAULT_LOOKAHEAD_REQUESTS, SimulationResult, a
 from repro.ssd.faults import FaultPlan
 from repro.ssd.metrics import SimulationMetrics
 from repro.ssd.request import HostRequest
-from repro.ssd.retry_grid import rpt_fingerprint
-from repro.ssd.slab_transport import grid_transport, install_payload_slabs
+from repro.ssd.retry_grid import prefill_shared_grid, rpt_fingerprint
 from repro.workloads.router import StripeRouter
 from repro.workloads.source import is_workload_source, source_from_dict, source_to_dict
 from repro.workloads.tenants import TenantMix
@@ -242,7 +241,6 @@ def _run_fleet_device(payload: dict) -> Tuple[str, int, SimulationResult]:
     device = payload["device"]
     policy_name = payload["policy"]
     rpt = payload.get("rpt") or _default_rpt()
-    install_payload_slabs(payload, spec.config, rpt)
     condition = spec.device_condition(device)
     simulator = aged_simulator(
         policy_name,
@@ -461,8 +459,8 @@ class FleetRunner:
         ``None`` means :data:`DEFAULT_SHARD_DEVICES`.
     :param checkpoint: a :class:`~repro.experiments.store.CheckpointStore`,
         a cache-root path for one, or ``None`` (no checkpointing).
-    :param use_shared_memory: publish parent-built retry-grid slabs through
-        shared memory (falls back to inline pickling when unavailable).
+    :param use_shared_memory: ignored; workers inherit the parent's slabs
+        through ``fork``.  Kept so existing callers keep working.
     """
 
     def __init__(
@@ -486,7 +484,6 @@ class FleetRunner:
             self.checkpoint = checkpoint
         else:
             self.checkpoint = CheckpointStore(checkpoint)
-        self.use_shared_memory = use_shared_memory
         self._registry = default_registry()
 
     # -- dispatch helpers ------------------------------------------------------
@@ -565,10 +562,9 @@ class FleetRunner:
         checkpoint_hits = 0
         checkpoint_stored = 0
         conditions = (self.spec.device_condition(device) for device in range(self.spec.devices))
-        slabs = grid_transport(
-            self.spec.config, self.rpt or _default_rpt(), conditions, self.use_shared_memory
-        )
-        with slabs as transport, WorkerPool(self.processes) as pool:
+        # Prefilled before the pool forks, so forked workers inherit the slabs.
+        prefill_shared_grid(self.spec.config, self.rpt or _default_rpt(), conditions)
+        with WorkerPool(self.processes) as pool:
             for policy in policy_names:
                 collector = results[policy]
                 common = dict(
@@ -578,7 +574,6 @@ class FleetRunner:
                     rpt=self.rpt,
                     lookahead=lookahead,
                     **({"faults": fault_plan.to_dict()} if fault_plan else {}),
-                    **transport,
                 )
                 for shard_index, device_range in enumerate(self._shard_ranges()):
                     params = None
@@ -645,7 +640,6 @@ class FleetRunner:
             "source": manifest_source,
             "policies": list(policy_names),
             "shard_devices": self.shard_devices,
-            "slab_transport": "shared_memory" if "grid_segment" in transport else "inline",
         }
         if fault_plan:
             manifest["faults"] = fault_plan.to_dict()

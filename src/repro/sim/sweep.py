@@ -6,11 +6,9 @@ result collection:
 
 * :class:`WorkerPool` / :func:`pool_map` — the one process-pool fan-out
   (start-method choice, serial fallback, in-order ``on_result`` delivery);
-* :func:`repro.ssd.slab_transport.grid_transport` — the parent builds the
-  retry-grid slabs of every condition once and ships them to the workers
-  (a shared-memory descriptor, or the slabs inline), and
-  :func:`~repro.ssd.slab_transport.install_payload_slabs` installs them on
-  the worker side;
+* :func:`repro.ssd.retry_grid.prefill_shared_grid` — the parent builds the
+  retry-grid slabs of every condition once, before the pool forks, so the
+  workers inherit them (a spawned worker builds its slabs on first read);
 * :func:`repro.ssd.controller.aged_simulator` — the one builder of an aged
   device: policy, precondition (P/E, retention, fill) and optional faults.
 
@@ -44,7 +42,7 @@ from repro.ssd.config import SsdConfig
 from repro.ssd.controller import SimulationResult, aged_simulator
 from repro.ssd.metrics import normalized_response_times
 from repro.ssd.request import HostRequest
-from repro.ssd.slab_transport import grid_transport, install_payload_slabs
+from repro.ssd.retry_grid import prefill_shared_grid
 from repro.workloads.catalog import WORKLOAD_CATALOG
 
 #: Default mean inter-arrival time of generated streams; matches the seed's
@@ -161,7 +159,6 @@ def _run_cell(payload: dict) -> Tuple[str, Tuple[int, float], Dict[str, Simulati
     spec = WorkloadSpec.from_dict(payload["workload"])
     condition = Condition.from_dict(payload["condition"])
     rpt = payload.get("rpt") or _default_rpt()
-    install_payload_slabs(payload, config, rpt)
     stream = _cached_stream(spec, config)
     results: Dict[str, SimulationResult] = {}
     for name in payload["policies"]:
@@ -291,6 +288,8 @@ class SweepRunner:
         condition) cell instead of sharing the workload's seed across
         conditions.  Defaults to False, which matches the seed harnesses'
         semantics and lets the stream cache serve every condition cell.
+    :param use_shared_memory: ignored; workers inherit the parent's slabs
+        through ``fork``.  Kept so existing callers keep working.
     """
 
     def __init__(
@@ -311,7 +310,6 @@ class SweepRunner:
         self.mean_interarrival_us = mean_interarrival_us
         self.footprint_fraction = footprint_fraction
         self.per_cell_seeds = per_cell_seeds
-        self.use_shared_memory = use_shared_memory
         self._registry = default_registry()
 
     # -- grid construction ----------------------------------------------------
@@ -342,7 +340,7 @@ class SweepRunner:
         )
         return (spec.seed * 1_000_003 + digest) % (2**31)
 
-    def _payloads(self, specs, conditions, policies, transport):
+    def _payloads(self, specs, conditions, policies):
         config_dict = self.config.to_dict()
         payloads = []
         for spec in specs:
@@ -358,7 +356,6 @@ class SweepRunner:
                         "condition": condition.to_dict(),
                         "policies": tuple(policies),
                         "rpt": self.rpt,
-                        **transport,
                     }
                 )
         return payloads
@@ -407,10 +404,10 @@ class SweepRunner:
             # Normalizing needs a reference that actually ran; fall back to
             # the first policy (its rows then read exactly 1.0).
             baseline = policy_names[0]
-        rpt = self.rpt or _default_rpt()
-        with grid_transport(self.config, rpt, condition_objs, self.use_shared_memory) as transport:
-            payloads = self._payloads(specs, condition_objs, policy_names, transport)
-            outcomes = pool_map(_run_cell, payloads, self.processes)
+        # Prefilled before the pool forks, so forked workers inherit the slabs.
+        prefill_shared_grid(self.config, self.rpt or _default_rpt(), condition_objs)
+        payloads = self._payloads(specs, condition_objs, policy_names)
+        outcomes = pool_map(_run_cell, payloads, self.processes)
 
         cells = {(label, pec, months): results for label, (pec, months), results in outcomes}
         return SweepResult(

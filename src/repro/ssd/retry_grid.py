@@ -16,19 +16,22 @@ paper's simulator answers it from a per-block lookup table of retry steps
   fresh-write condition, and P/E levels GC creates), so the grid builds a
   condition's *slab* on its first read — one path serves every read;
 * slabs are bounded by an explicit LRU policy (DFTL garbage collection
-  creates a stream of new (P/E, 0) conditions), and can be serialized so
-  sweep/suite workers install a parent-built grid instead of recomputing.
+  creates a stream of new (P/E, 0) conditions).
 
 Grids are shared process-wide per (geometry, seed, temperature, RPT): every
 simulator with default error models gets the same grid, so repeated runs —
 benchmark rounds, per-policy runs of one sweep cell, suite experiments —
-pay the precompute once.
+pay the precompute once.  Sweep and fleet runners call
+:func:`prefill_shared_grid` before their worker pool forks, so forked
+workers inherit the built slabs; a worker that did not (spawn start
+method, or a slab already evicted) builds a slab on its first read, like
+any serial run.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -238,58 +241,6 @@ class RetryStepGrid:
             behaviours.append(behaviour)
         return behaviours
 
-    # -- worker hand-off ------------------------------------------------------
-    def export_slabs(self, conditions: Iterable[Tuple[int, float]] = None) -> List[dict]:
-        """Serialize cached slabs (compact arrays, pickle-friendly).
-
-        :param conditions: restrict the export to these (P/E, retention)
-            keys; conditions without a cached slab are skipped.
-        """
-        if conditions is None:
-            selected = list(self._slabs.items())
-        else:
-            keys = [(int(pe), float(ret)) for pe, ret in conditions]
-            selected = [(key, self._slabs[key]) for key in keys if key in self._slabs]
-        payload = []
-        for (pe_cycles, retention_months), slab in selected:
-            entry = {
-                "pe_cycles": pe_cycles,
-                "retention_months": retention_months,
-                "page_types": {},
-            }
-            for page_type, behaviours in slab.items():
-                steps = np.array([b.retry_steps for b in behaviours], dtype=np.int16)
-                reduced = np.array([b.retry_steps_reduced for b in behaviours], dtype=np.int16)
-                fallback = np.array([b.reduced_timing_fallback for b in behaviours], dtype=bool)
-                entry["page_types"][page_type.name] = {
-                    "retry_steps": steps,
-                    "retry_steps_reduced": reduced,
-                    "reduced_timing_fallback": fallback,
-                }
-            payload.append(entry)
-        return payload
-
-    def install_slabs(self, payload: Sequence[dict]) -> int:
-        """Install serialized slabs; returns how many were new."""
-        installed = 0
-        for entry in payload:
-            key = (int(entry["pe_cycles"]), float(entry["retention_months"]))
-            if key in self._slabs:
-                continue
-            slab = {}
-            for name, arrays in entry["page_types"].items():
-                slab[PageType[name]] = self._intern_lattice(
-                    arrays["retry_steps"],
-                    arrays["retry_steps_reduced"],
-                    arrays["reduced_timing_fallback"],
-                )
-            if len(slab) != len(PageType):
-                missing = sorted(p.name for p in PageType if p not in slab)
-                raise ValueError(f"slab for condition {key} misses page types: {missing}")
-            self._install_slab(key, slab)
-            installed += 1
-        return installed
-
 
 # -- process-wide sharing -----------------------------------------------------
 _SHARED_GRIDS: "OrderedDict[tuple, RetryStepGrid]" = OrderedDict()
@@ -326,6 +277,23 @@ def shared_grid(config: SsdConfig, rpt: ReadTimingParameterTable) -> RetryStepGr
     else:
         _SHARED_GRIDS.move_to_end(key)
     return grid
+
+
+def prefill_shared_grid(config: SsdConfig, rpt: ReadTimingParameterTable, conditions) -> None:
+    """Build the shared-grid slabs every device of a run reads.
+
+    Each device reads cold data at its condition and rewritten data at
+    (P/E, 0), so both pairs are prefilled per distinct condition, in sorted
+    order.
+
+    :param conditions: objects with ``pe_cycles`` and ``retention_months``
+        (:class:`repro.sim.spec.Condition`).
+    """
+    pairs = set()
+    for condition in conditions:
+        pairs.add((condition.pe_cycles, float(condition.retention_months)))
+        pairs.add((condition.pe_cycles, 0.0))
+    shared_grid(config, rpt).prefill(sorted(pairs))
 
 
 def clear_shared_grids() -> None:

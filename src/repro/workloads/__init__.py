@@ -22,9 +22,9 @@ subpackage provides:
 * :mod:`repro.workloads.scenarios` — the adversarial access-pattern suite
   (snake sweeps, hot/cold zones, burst trains, in-stream control events).
 
-The historical free-function entry points (``generate_workload``,
-``iter_workload``, ``make_msrc_workload``, ``make_ycsb_workload``) are
-deprecated shims over the protocol; they warn and forward.
+A named Table 2 stream is ``catalog_workload(name, footprint_pages,
+seed=...).iter_requests(n)``, or ``repro.sim.WorkloadSpec(name=...)`` where
+the footprint follows the device config.
 """
 
 from repro.workloads.trace import (
@@ -42,8 +42,6 @@ from repro.workloads.catalog import (
     WORKLOAD_CATALOG,
     WorkloadSpec,
     catalog_workload,
-    generate_workload,
-    iter_workload,
     workload_names,
 )
 from repro.workloads.source import (
@@ -65,6 +63,8 @@ from repro.workloads.scenarios import (
     StridedRead,
     make_pattern,
 )
+
+
 def __getattr__(name):
     # TenantMix and ClosedLoopSource import repro.sim.spec at module level,
     # and repro.sim.spec imports repro.workloads.catalog — importing them
@@ -96,8 +96,6 @@ __all__ = [
     "WORKLOAD_CATALOG",
     "workload_names",
     "catalog_workload",
-    "generate_workload",
-    "iter_workload",
     "as_workload_source",
     "is_workload_source",
     "register_source",

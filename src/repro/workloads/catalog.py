@@ -7,11 +7,9 @@ equivalent request stream.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.ssd.request import HostRequest
 from repro.workloads.msrc import msrc_shape
 from repro.workloads.synthetic import SyntheticWorkload
 from repro.workloads.ycsb import ycsb_shape
@@ -107,54 +105,6 @@ def catalog_workload(
         mean_interarrival_us=mean_interarrival_us,
         num_requests=num_requests,
     )
-
-
-def generate_workload(
-    name: str,
-    num_requests: int,
-    footprint_pages: int,
-    seed: int = 0,
-    mean_interarrival_us: Optional[float] = None,
-) -> List[HostRequest]:
-    """Generate a request stream for a named Table 2 workload.
-
-    .. deprecated:: use ``repro.sim.WorkloadSpec(name=...).build_requests(config)``
-        or :func:`catalog_workload` directly.
-    """
-    warnings.warn(
-        "generate_workload is deprecated; use repro.sim.WorkloadSpec or "
-        "catalog_workload(...).generate(...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return list(
-        catalog_workload(
-            name, footprint_pages, seed=seed, mean_interarrival_us=mean_interarrival_us
-        ).iter_requests(num_requests)
-    )
-
-
-def iter_workload(
-    name: str,
-    num_requests: int,
-    footprint_pages: int,
-    seed: int = 0,
-    mean_interarrival_us: Optional[float] = None,
-) -> Iterator[HostRequest]:
-    """Stream a named Table 2 workload lazily (same draws as generate).
-
-    .. deprecated:: use ``repro.sim.WorkloadSpec(name=...).iter_requests(config)``
-        or :func:`catalog_workload` directly.
-    """
-    warnings.warn(
-        "iter_workload is deprecated; use repro.sim.WorkloadSpec or "
-        "catalog_workload(...).iter_requests(...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return catalog_workload(
-        name, footprint_pages, seed=seed, mean_interarrival_us=mean_interarrival_us
-    ).iter_requests(num_requests)
 
 
 def table2_rows() -> List[dict]:

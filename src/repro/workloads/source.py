@@ -1,11 +1,9 @@
 """The unified ``WorkloadSource`` protocol and its serialization registry.
 
-The workload layer grew seven construction idioms over the first PRs —
-``generate_workload``/``iter_workload``, ``make_ycsb_workload``/
-``make_msrc_workload``, ``WorkloadSpec.build``/``.iter_requests``,
-``TenantMix``, ``ClosedLoopSource`` — and every new consumer (fleet
-sharding, manifests, scenario wrappers) had to special-case each one.  This
-module collapses them behind one duck-typed protocol:
+Every stream-producing object — :class:`~repro.sim.spec.WorkloadSpec`,
+``SyntheticWorkload``, ``TraceReplay``, ``TenantMix``, ``ClosedLoopSource``
+and the scenario sources — implements one duck-typed protocol, so fleet
+sharding, manifests and scenario wrappers never special-case a source:
 
 * ``iter_requests(config, footprint_pages=None)`` — a fresh, lazily
   generated :class:`~repro.ssd.request.HostRequest` stream, ordered by
@@ -44,12 +42,11 @@ def register_source(cls: Type) -> Type:
     if not isinstance(kind, str) or not kind:
         raise TypeError(
             f"{cls.__name__} needs a non-empty 'source_kind' class attribute "
-            "to be registered as a workload source")
+            "to be registered as a workload source"
+        )
     existing = _SOURCE_KINDS.get(kind)
     if existing is not None and existing is not cls:
-        raise ValueError(
-            f"source kind {kind!r} is already registered by "
-            f"{existing.__name__}")
+        raise ValueError(f"source kind {kind!r} is already registered by {existing.__name__}")
     _SOURCE_KINDS[kind] = cls
     return cls
 
@@ -71,8 +68,14 @@ def _ensure_builtins() -> None:
     from repro.workloads.tenants import TenantMix
     from repro.workloads.trace import TraceReplay
 
-    for cls in (WorkloadSpec, TenantMix, SyntheticWorkload, TraceReplay,
-                ClosedLoopSource, *SCENARIO_SOURCES):
+    for cls in (
+        WorkloadSpec,
+        TenantMix,
+        SyntheticWorkload,
+        TraceReplay,
+        ClosedLoopSource,
+        *SCENARIO_SOURCES,
+    ):
         register_source(cls)
     _BUILTINS_LOADED = True
 
@@ -85,21 +88,21 @@ def source_kinds() -> tuple:
 
 def is_workload_source(value) -> bool:
     """Whether ``value`` implements the ``WorkloadSource`` protocol."""
-    return (callable(getattr(value, "iter_requests", None))
-            and callable(getattr(value, "to_dict", None)))
+    return all(callable(getattr(value, name, None)) for name in ("iter_requests", "to_dict"))
 
 
 def source_to_dict(source) -> dict:
     """Serialize any workload source, stamping its ``kind`` tag."""
     if not is_workload_source(source):
         raise TypeError(
-            f"{source!r} is not a workload source (needs iter_requests() "
-            "and to_dict())")
+            f"{source!r} is not a workload source (needs iter_requests() and to_dict())"
+        )
     kind = getattr(type(source), "source_kind", None)
     if not isinstance(kind, str) or not kind:
         raise TypeError(
             f"{type(source).__name__} carries no 'source_kind' tag; only "
-            "registered sources can be serialized into a manifest")
+            "registered sources can be serialized into a manifest"
+        )
     payload = dict(source.to_dict())
     payload["kind"] = kind
     return payload
@@ -112,20 +115,21 @@ def source_from_dict(payload: dict):
     kind = payload.pop("kind", None)
     if kind is None:
         raise ValueError(
-            "source payload carries no 'kind' tag; serialize sources with "
-            "source_to_dict()")
+            "source payload carries no 'kind' tag; serialize sources with source_to_dict()"
+        )
     cls = _SOURCE_KINDS.get(kind)
     if cls is None:
-        raise KeyError(
-            f"unknown source kind {kind!r}; registered kinds: "
-            f"{list(source_kinds())}")
+        raise KeyError(f"unknown source kind {kind!r}; registered kinds: {list(source_kinds())}")
     return cls.from_dict(payload)
 
 
-def as_workload_source(value, num_requests: Optional[int] = None,
-                       seed: Optional[int] = None,
-                       mean_interarrival_us: Optional[float] = None,
-                       footprint_fraction: Optional[float] = None):
+def as_workload_source(
+    value,
+    num_requests: Optional[int] = None,
+    seed: Optional[int] = None,
+    mean_interarrival_us: Optional[float] = None,
+    footprint_fraction: Optional[float] = None,
+):
     """Coerce ``value`` into a workload source.
 
     Ready sources (anything implementing the protocol) pass through
@@ -141,12 +145,19 @@ def as_workload_source(value, num_requests: Optional[int] = None,
             return source_from_dict(value)
         if "tenants" in value:
             return TenantMix.from_dict(value)
-        return WorkloadSpec.coerce(value, num_requests=num_requests,
-                                   seed=seed,
-                                   mean_interarrival_us=mean_interarrival_us,
-                                   footprint_fraction=footprint_fraction)
+        return WorkloadSpec.coerce(
+            value,
+            num_requests=num_requests,
+            seed=seed,
+            mean_interarrival_us=mean_interarrival_us,
+            footprint_fraction=footprint_fraction,
+        )
     if is_workload_source(value) and not isinstance(value, (str, WorkloadSpec)):
         return value
-    return WorkloadSpec.coerce(value, num_requests=num_requests, seed=seed,
-                               mean_interarrival_us=mean_interarrival_us,
-                               footprint_fraction=footprint_fraction)
+    return WorkloadSpec.coerce(
+        value,
+        num_requests=num_requests,
+        seed=seed,
+        mean_interarrival_us=mean_interarrival_us,
+        footprint_fraction=footprint_fraction,
+    )

@@ -9,9 +9,7 @@ fraction and a very high cold ratio.
 
 from __future__ import annotations
 
-import warnings
-
-from repro.workloads.synthetic import SyntheticWorkload, WorkloadShape
+from repro.workloads.synthetic import WorkloadShape
 
 
 def ycsb_shape(
@@ -29,31 +27,4 @@ def ycsb_shape(
         sequential_fraction=0.5 if scan_heavy else 0.05,
         zipf_theta=0.99,
         cold_region_fraction=0.6,
-    )
-
-
-def make_ycsb_workload(
-    read_ratio: float,
-    cold_ratio: float,
-    footprint_pages: int,
-    seed: int = 0,
-    scan_heavy: bool = False,
-    mean_interarrival_us: float = 200.0,
-) -> SyntheticWorkload:
-    """A ready-to-generate YCSB-style workload.
-
-    .. deprecated:: construct ``SyntheticWorkload(ycsb_shape(...), ...)``
-        directly, or go through the unified source API
-        (``repro.sim.WorkloadSpec`` / ``repro.workloads.source``).
-    """
-    warnings.warn(
-        "make_ycsb_workload is deprecated; use "
-        "SyntheticWorkload(ycsb_shape(...), ...) or repro.sim.WorkloadSpec instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return SyntheticWorkload(
-        ycsb_shape(read_ratio, cold_ratio, scan_heavy, mean_interarrival_us),
-        footprint_pages=footprint_pages,
-        seed=seed,
     )

@@ -1,20 +1,18 @@
-"""Fleet checkpoint/resume, shared-slab transport, and /dev/shm hygiene.
+"""Fleet checkpoint/resume and serial == sharded-parallel equivalence.
 
 Covers the rack-scale execution path: sharded runs checkpoint per-shard
 device metrics and resume bitwise-identically; corrupted checkpoint entries
-are detected (payload digest) and recomputed rather than trusted; shared
-slab segments never outlive a run — normal exit and crashed-worker exit
-alike; stale worker attachments are invalidated by the descriptor's
-(epoch, fingerprint) pair; and a sharded parallel run matches the serial
-run row for row.
+are detected (payload digest) and recomputed rather than trusted; the parent
+prefills every device condition's slabs before forking, publishes nothing in
+shared memory and leaves no worker behind when one crashes; and a sharded
+parallel run matches the serial run row for row.
 """
 
-import glob
 import json
 import logging
+import multiprocessing
 import os
 
-import numpy as np
 import pytest
 
 from repro.experiments.store import CheckpointStore
@@ -25,9 +23,10 @@ from repro.sim.fleet import (
     FleetSpec,
     SloCapacitySearch,
 )
+from repro.core.rpt import ReadTimingParameterTable
 from repro.sim.spec import Condition, WorkloadSpec
-from repro.ssd import slab_transport
 from repro.ssd.config import SsdConfig
+from repro.ssd.retry_grid import clear_shared_grids, prefill_shared_grid, shared_grid
 
 CONFIG = SsdConfig.tiny()
 
@@ -142,111 +141,49 @@ class TestCapacitySearchResume:
         assert store.entries(PROBE_TRAIL_KIND)
 
 
-# -- shared-memory hygiene -----------------------------------------------------
-def _leaked_segments():
-    return glob.glob(f"/dev/shm/repro_slab_{os.getpid()}_*")
+# -- worker slabs: prefilled in the parent, inherited by forked workers -------
+def _crashing_device(payload):
+    raise RuntimeError("worker crashed mid-shard")
 
 
-@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm on this platform")
-class TestSharedMemoryHygiene:
-    def test_normal_run_leaves_no_segments(self):
-        result = FleetRunner(_fleet(2), shard_devices=2).run(_workload(60))
-        assert result.manifest["slab_transport"] == "shared_memory"
-        slab_transport.detach_all()
-        assert _leaked_segments() == []
+class TestWorkerSlabs:
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm on this platform")
+    def test_parallel_run_publishes_no_shared_memory(self):
+        before = set(os.listdir("/dev/shm"))
+        FleetRunner(_fleet(2), processes=2, shard_devices=2).run(_workload(60))
+        assert set(os.listdir("/dev/shm")) - before == set()
 
-    def test_crashed_worker_still_unlinks_the_segment(self, monkeypatch):
-        def boom(payload):
-            raise RuntimeError("worker crashed mid-shard")
-
-        monkeypatch.setattr("repro.sim.fleet._run_fleet_device", boom)
-        with pytest.raises(RuntimeError, match="worker crashed"):
-            FleetRunner(_fleet(2), shard_devices=2).run(_workload(60))
-        slab_transport.detach_all()
-        assert _leaked_segments() == []
-
-    def test_shared_memory_off_matches_shared_memory_on(self):
-        on = FleetRunner(_fleet(2), shard_devices=2, use_shared_memory=True).run(_workload(60))
-        off = FleetRunner(_fleet(2), shard_devices=2, use_shared_memory=False).run(_workload(60))
-        assert on.manifest["slab_transport"] == "shared_memory"
-        assert off.manifest["slab_transport"] == "inline"
+    def test_use_shared_memory_is_ignored(self):
+        on = FleetRunner(_fleet(2), processes=2, shard_devices=2,
+                         use_shared_memory=True).run(_workload(60))
+        off = FleetRunner(_fleet(2), processes=2, shard_devices=2,
+                          use_shared_memory=False).run(_workload(60))
         assert _rows(on) == _rows(off)
-        slab_transport.detach_all()
+        assert on.manifest == off.manifest
+        assert "slab_transport" not in on.manifest
 
-
-# -- slab transport: stale-attachment invalidation -----------------------------
-def _exports(fill):
-    return [{
-        "pe_cycles": 1000,
-        "retention_months": 6.0,
-        "page_types": {
-            "LSB": {
-                "retry_steps": np.full(8, fill, dtype=np.int16),
-                "retry_steps_reduced": np.full(8, fill + 1, dtype=np.int16),
-                "reduced_timing_fallback": np.zeros(8, dtype=bool),
-            },
-        },
-    }]
-
-
-class TestSlabTransport:
-    def teardown_method(self):
-        slab_transport.detach_all()
-
-    def test_publish_attach_roundtrip(self):
-        segment = slab_transport.publish_slabs(_exports(3))
-        assert segment is not None
+    def test_parent_prefills_every_device_condition(self):
+        conditions = (Condition(1000, 6.0), Condition(2000, 12.0),
+                      Condition(1000, 6.0), Condition(500, 1.0))
+        fleet = FleetSpec(devices=4, config=CONFIG, device_conditions=conditions)
+        rpt = ReadTimingParameterTable.default()
+        clear_shared_grids()
         try:
-            attached = slab_transport.attach_slabs(segment.descriptor)
-            arrays = attached[0]["page_types"]["LSB"]
-            assert attached[0]["pe_cycles"] == 1000
-            assert list(arrays["retry_steps"]) == [3] * 8
-            assert list(arrays["retry_steps_reduced"]) == [4] * 8
-            assert not arrays["retry_steps"].flags.writeable
+            FleetRunner(fleet, processes=2, shard_devices=2).run(_workload(60))
+            grid = shared_grid(CONFIG, rpt)
+            builds = grid.slab_builds
+            # Nothing left to build: the run already held every slab its
+            # devices read before the pool forked its workers.
+            prefill_shared_grid(CONFIG, rpt, conditions)
+            assert grid.slab_builds == builds
         finally:
-            slab_transport.detach_all()
-            segment.close()
+            clear_shared_grids()
 
-    def test_stale_attachment_is_invalidated_by_epoch(self, monkeypatch):
-        # Force both publications onto one segment name, the way a
-        # long-lived worker sees a recycled name across runs.
-        name = f"repro_slab_stale_{os.getpid()}"
-        monkeypatch.setattr(slab_transport, "_next_segment_name", lambda: name)
-        first = slab_transport.publish_slabs(_exports(3))
-        attached = slab_transport.attach_slabs(first.descriptor)
-        assert attached[0]["page_types"]["LSB"]["retry_steps"][0] == 3
-        first.close()
-        second = slab_transport.publish_slabs(_exports(9))
-        try:
-            assert second.descriptor["epoch"] > first.descriptor["epoch"]
-            fresh = slab_transport.attach_slabs(second.descriptor)
-            # Without the (epoch, fingerprint) check the cached mapping of
-            # the first segment would serve the old values here.
-            assert fresh[0]["page_types"]["LSB"]["retry_steps"][0] == 9
-        finally:
-            slab_transport.detach_all()
-            second.close()
-
-    def test_foreign_segment_content_is_rejected(self):
-        segment = slab_transport.publish_slabs(_exports(5))
-        try:
-            forged = dict(segment.descriptor,
-                          epoch=segment.descriptor["epoch"] + 1,
-                          fingerprint="0" * 16)
-            with pytest.raises(slab_transport.SlabTransportError):
-                slab_transport.attach_slabs(forged)
-        finally:
-            slab_transport.detach_all()
-            segment.close()
-
-    def test_payload_falls_back_to_inline_slabs(self):
-        segment = slab_transport.publish_slabs(_exports(4))
-        segment.close()  # the publishing run is gone
-        payload = {"grid_segment": segment.descriptor, "grid_slabs": "inline-marker"}
-        assert slab_transport.payload_slabs(payload) == "inline-marker"
-
-    def test_empty_exports_publish_nothing(self):
-        assert slab_transport.publish_slabs([]) is None
+    def test_crashed_worker_leaves_no_children(self, monkeypatch):
+        monkeypatch.setattr("repro.sim.fleet._run_fleet_device", _crashing_device)
+        with pytest.raises(RuntimeError, match="worker crashed"):
+            FleetRunner(_fleet(2), processes=2, shard_devices=2).run(_workload(60))
+        assert multiprocessing.active_children() == []
 
 
 # -- serial == sharded parallel ------------------------------------------------
@@ -257,7 +194,6 @@ class TestExecutionEquivalence:
         assert _rows(serial) == _rows(parallel)
         assert serial.result.p99() == parallel.result.p99()
         assert serial.result.mean_response_us() == parallel.result.mean_response_us()
-        slab_transport.detach_all()
 
     def test_shard_size_does_not_change_results(self):
         coarse = FleetRunner(_fleet(), shard_devices=64).run(_workload())
@@ -265,4 +201,3 @@ class TestExecutionEquivalence:
         assert _rows(coarse) == _rows(fine)
         assert len(coarse.result.shard_timings) == 1
         assert len(fine.result.shard_timings) == 4
-        slab_transport.detach_all()

@@ -10,7 +10,7 @@ from repro.nand.geometry import ChipGeometry
 from repro.ssd.config import SsdConfig
 from repro.ssd.controller import simulate_policies
 from repro.ssd.metrics import normalized_response_times
-from repro.workloads import generate_workload
+from repro.workloads import catalog_workload
 
 
 class TestQuickComparison:
@@ -51,8 +51,8 @@ class TestCharacterizationFeedsTheSimulator:
         footprint = int(config.logical_pages * 0.5)
 
         def requests():
-            return generate_workload("mds_1", 120, footprint, seed=9,
-                                     mean_interarrival_us=800.0)
+            return catalog_workload("mds_1", footprint, seed=9,
+                                    mean_interarrival_us=800.0).generate(120)
 
         results = simulate_policies(["Baseline", "PnAR2", "NoRR"], requests,
                                     config=config, pe_cycles=2000,
@@ -70,8 +70,8 @@ class TestImprovementGrowsWithAging:
         footprint = int(config.logical_pages * 0.5)
 
         def requests():
-            return generate_workload("usr_1", 150, footprint, seed=4,
-                                     mean_interarrival_us=800.0)
+            return catalog_workload("usr_1", footprint, seed=4,
+                                    mean_interarrival_us=800.0).generate(150)
 
         gains = []
         for pec, months in ((0, 1.0), (1000, 6.0), (2000, 12.0)):
@@ -94,8 +94,8 @@ class TestWriteDominantWorkloadStillBenefits:
         footprint = int(config.logical_pages * 0.5)
 
         def requests():
-            return generate_workload("stg_0", 200, footprint, seed=5,
-                                     mean_interarrival_us=500.0)
+            return catalog_workload("stg_0", footprint, seed=5,
+                                    mean_interarrival_us=500.0).generate(200)
 
         results = simulate_policies(["Baseline", "PnAR2"], requests,
                                     config=config, pe_cycles=2000,

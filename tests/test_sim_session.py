@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.sim import Condition, Simulation, WorkloadSpec
-from repro.workloads.catalog import generate_workload
+from repro.workloads.catalog import catalog_workload
 from repro.workloads.synthetic import WorkloadShape
 
 
@@ -46,9 +46,9 @@ class TestValueObjects:
         spec = WorkloadSpec(name="usr_1", num_requests=30, seed=5,
                             mean_interarrival_us=700.0)
         built = spec.build_requests(tiny_ssd_config)
-        expected = generate_workload(
-            "usr_1", 30, spec.footprint_pages(tiny_ssd_config), seed=5,
-            mean_interarrival_us=700.0)
+        expected = catalog_workload(
+            "usr_1", spec.footprint_pages(tiny_ssd_config), seed=5,
+            mean_interarrival_us=700.0).generate(30)
         assert [(r.arrival_us, r.kind, r.start_lpn, r.page_count)
                 for r in built] == \
                [(r.arrival_us, r.kind, r.start_lpn, r.page_count)
@@ -119,7 +119,7 @@ class TestSimulationBuilder:
             Simulation(tiny_ssd_config).policy("NoRR").run()
 
     def test_explicit_requests_are_not_mutated(self, tiny_ssd_config):
-        requests = generate_workload("usr_1", 30, 2000, seed=2)
+        requests = catalog_workload("usr_1", 2000, seed=2).generate(30)
         run = (Simulation(tiny_ssd_config)
                .policies("Baseline", "NoRR")
                .requests(requests)
@@ -141,8 +141,8 @@ class TestSimulationBuilder:
         from repro.ssd.controller import simulate_policies
 
         def factory():
-            return generate_workload("usr_1", 40, int(
-                tiny_ssd_config.logical_pages * 0.8), seed=0)
+            return catalog_workload("usr_1", int(
+                tiny_ssd_config.logical_pages * 0.8), seed=0).generate(40)
 
         legacy = simulate_policies(("Baseline", "PnAR2"), factory,
                                    config=tiny_ssd_config, pe_cycles=1000,

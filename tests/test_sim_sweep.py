@@ -1,10 +1,15 @@
 """Tests for the parallel sweep runner and its worker-pool fan-out."""
 
+import multiprocessing
+import os
+
 import pytest
 
 from repro.sim import Condition, SweepRunner, WorkloadSpec
 from repro.sim import sweep as sweep_module
+from repro.sim.fleet import FleetRunner, FleetSpec
 from repro.ssd.config import SsdConfig
+from repro.ssd.retry_grid import RetryStepGrid, clear_shared_grids
 
 POLICIES = ("Baseline", "PnAR2", "NoRR")
 WORKLOADS = ("usr_1", "stg_0")
@@ -86,6 +91,48 @@ class TestParallelEquality:
                                          pe_cycles=1000)
         assert all(row["p99_response_us"] > row["mean_response_us"]
                    for row in aged)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="slabs are inherited only by forked workers")
+class TestForkedWorkersInheritSlabs:
+    def test_forked_workers_build_no_prefilled_slabs(self, tiny_config,
+                                                     tmp_path, monkeypatch):
+        log = tmp_path / "slab_builds.txt"
+        build_slab = RetryStepGrid._build_slab
+
+        def recording_build_slab(self, key):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()} {key[0]} {key[1]!r}\n")
+            return build_slab(self, key)
+
+        monkeypatch.setattr(RetryStepGrid, "_build_slab", recording_build_slab)
+        sweep_conditions = CONDITIONS + ((2000, 12.0),)
+        clear_shared_grids()
+        try:
+            SweepRunner(config=tiny_config, processes=2).run(
+                policies=("Baseline", "PnAR2"), workloads=WORKLOADS,
+                conditions=sweep_conditions, num_requests=50)
+            fleet = FleetSpec(devices=4, config=tiny_config,
+                              condition=Condition(1500, 3.0))
+            FleetRunner(fleet, processes=2, shard_devices=2).run(
+                WorkloadSpec(name="usr_1", num_requests=80, seed=3,
+                             mean_interarrival_us=700.0),
+                policies=("Baseline", "PnAR2"))
+        finally:
+            clear_shared_grids()
+        prefilled = {(pe, float(months))
+                     for pe, months in sweep_conditions + ((1500, 3.0),)}
+        prefilled |= {(pe, 0.0) for pe, _ in prefilled}
+        builds = [line.split() for line in log.read_text().splitlines()]
+        parent = str(os.getpid())
+        assert {(int(pe), float(months)) for pid, pe, months in builds
+                if pid == parent} == prefilled
+        # Workers only build the P/E levels their own GC creates mid-run;
+        # every slab the parent prefilled before forking is inherited.
+        worker_keys = {(int(pe), float(months)) for pid, pe, months in builds
+                       if pid != parent}
+        assert worker_keys and not worker_keys & prefilled
 
 
 class TestStreamCache:

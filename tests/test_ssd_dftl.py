@@ -22,7 +22,7 @@ from repro.ssd.config import SsdConfig
 from repro.ssd.controller import SimulationResult, SsdSimulator
 from repro.ssd.dftl import GC_STREAM, HOST_STREAM, TRANS_STREAM, DftlMapper
 from repro.ssd.metrics import SimulationMetrics
-from repro.workloads import generate_workload
+from repro.workloads import catalog_workload
 
 
 def small_config(**overrides) -> SsdConfig:
@@ -332,8 +332,8 @@ def page_mode_result():
     simulator.precondition(pe_cycles=1000, retention_months=6.0,
                            fill_fraction=0.6)
     footprint = int(config.logical_pages * 0.5)
-    requests = generate_workload("stg_0", 300, footprint, seed=1,
-                                 mean_interarrival_us=500.0)
+    requests = catalog_workload("stg_0", footprint, seed=1,
+                                mean_interarrival_us=500.0).generate(300)
     result = simulator.run(requests)
     return simulator, result
 

@@ -14,6 +14,7 @@ from repro.errors.timing import TimingReduction
 from repro.errors.variation import ProcessVariation
 from repro.nand.geometry import PageType
 from repro.nand.voltage import ReadRetryTable
+from repro.sim.spec import Condition
 from repro.ssd.config import SsdConfig
 from repro.ssd.controller import SsdSimulator
 from repro.ssd.flash_backend import FlashBackend, ReadBehaviour
@@ -22,6 +23,7 @@ from repro.ssd.request import HostRequest, RequestKind
 from repro.ssd.retry_grid import (
     RetryStepGrid,
     clear_shared_grids,
+    prefill_shared_grid,
     rpt_fingerprint,
     shared_grid,
 )
@@ -132,40 +134,61 @@ class TestSlabLifecycle:
         for pe_cycles in (100, 200, 300):
             grid.behaviour(PageType.CSB, 2000, 12.0, 0, 0)
             grid.behaviour(PageType.CSB, pe_cycles, 0.0, 0, 0)
-        assert grid.export_slabs([(2000, 12.0)])
+        assert grid.cached_conditions == 2
+        grid.behaviour(PageType.CSB, 2000, 12.0, 0, 0)
         assert grid.slab_builds == 4
 
+    def test_evicted_slab_is_rebuilt_on_first_read(self, config, default_rpt):
+        grid = RetryStepGrid(config, rpt=default_rpt, max_conditions=1)
+        grid.prefill([(1000, 6.0)])
+        before = [grid.behaviour(page_type, 1000, 6.0, 1, 9) for page_type in PageType]
+        grid.prefill([(500, 0.0)])
+        assert grid.cached_conditions == 1
+        after = [grid.behaviour(page_type, 1000, 6.0, 1, 9) for page_type in PageType]
+        assert after == before
+        assert grid.slab_builds == 3
 
-class TestSlabSerialization:
-    def test_export_install_roundtrip(self, config, default_rpt):
-        source = RetryStepGrid(config, rpt=default_rpt)
-        source.prefill([(1000, 6.0), (1000, 0.0)])
-        payload = pickle.loads(pickle.dumps(source.export_slabs()))
 
-        target = RetryStepGrid(config, rpt=default_rpt)
-        assert target.install_slabs(payload) == 2
-        assert target.slab_builds == 0
-        for page_type in PageType:
-            for block in (0, 9):
-                original = source.behaviour(page_type, 1000, 6.0, 1, block)
-                installed = target.behaviour(page_type, 1000, 6.0, 1, block)
-                assert installed == original
-        assert target.slab_builds == 0
+class TestPrefillSharedGrid:
+    def test_builds_aged_and_fresh_slabs_per_condition(self, config, default_rpt):
+        clear_shared_grids()
+        try:
+            prefill_shared_grid(config, default_rpt, [
+                Condition(1000, 6.0), Condition(1000, 6.0), Condition(500, 0.0)])
+            grid = shared_grid(config, default_rpt)
+            # (1000, 6.0), (1000, 0.0) and (500, 0.0): duplicates collapse.
+            assert grid.slab_builds == 3
+            assert grid.cached_conditions == 3
+            grid.behaviour(PageType.LSB, 1000, 0.0, 0, 0)
+            grid.behaviour(PageType.LSB, 500, 0.0, 0, 0)
+            assert grid.slab_builds == 3
+        finally:
+            clear_shared_grids()
 
-    def test_install_skips_existing_conditions(self, config, default_rpt):
-        source = RetryStepGrid(config, rpt=default_rpt)
-        source.prefill([(500, 1.0)])
-        payload = source.export_slabs()
-        target = RetryStepGrid(config, rpt=default_rpt)
-        target.prefill([(500, 1.0)])
-        assert target.install_slabs(payload) == 0
+    def test_skips_conditions_already_built(self, config, default_rpt):
+        clear_shared_grids()
+        try:
+            conditions = [Condition(2000, 12.0)]
+            prefill_shared_grid(config, default_rpt, conditions)
+            prefill_shared_grid(config, default_rpt, conditions)
+            assert shared_grid(config, default_rpt).slab_builds == 2
+        finally:
+            clear_shared_grids()
 
-    def test_export_filter(self, config, default_rpt):
-        grid_obj = RetryStepGrid(config, rpt=default_rpt)
-        grid_obj.prefill([(100, 0.0), (200, 0.0)])
-        only = grid_obj.export_slabs([(200, 0.0)])
-        assert len(only) == 1
-        assert only[0]["pe_cycles"] == 200
+    def test_prefilled_slabs_match_lazily_built_ones(self, config, default_rpt):
+        clear_shared_grids()
+        try:
+            prefill_shared_grid(config, default_rpt, [Condition(1000, 6.0)])
+            prefilled = shared_grid(config, default_rpt)
+            lazy = RetryStepGrid(config, rpt=default_rpt)
+            for months in (6.0, 0.0):
+                for page_type in PageType:
+                    for block in (0, 9):
+                        assert (prefilled.behaviour(page_type, 1000, months, 1, block)
+                                == lazy.behaviour(page_type, 1000, months, 1, block))
+            assert prefilled.slab_builds == 2
+        finally:
+            clear_shared_grids()
 
 
 class TestSharedGrids:

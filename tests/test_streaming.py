@@ -7,8 +7,7 @@ from repro.sim import Simulation
 from repro.ssd.config import SsdConfig
 from repro.ssd.controller import SsdSimulator, simulate_policies
 from repro.ssd.request import HostRequest, RequestKind
-from repro.workloads import generate_workload, iter_workload
-from repro.workloads.catalog import WORKLOAD_CATALOG
+from repro.workloads.catalog import WORKLOAD_CATALOG, catalog_workload
 
 
 @pytest.fixture(scope="module")
@@ -34,20 +33,21 @@ def _run(config, rpt, requests, **kwargs):
 class TestGeneratorInjection:
     def test_generator_matches_list(self, config, rpt):
         footprint = _footprint(config)
-        args = ("YCSB-C", 300, footprint)
-        kwargs = {"seed": 1, "mean_interarrival_us": 500.0}
-        from_list = _run(config, rpt, generate_workload(*args, **kwargs))
-        from_generator = _run(config, rpt, iter_workload(*args, **kwargs))
+        workload = catalog_workload("YCSB-C", footprint, seed=1,
+                                    mean_interarrival_us=500.0)
+        from_list = _run(config, rpt, workload.generate(300))
+        from_generator = _run(config, rpt, workload.iter_requests(300))
         assert from_list.metrics.summary() == from_generator.metrics.summary()
         assert from_list.metrics.read_latency == \
             from_generator.metrics.read_latency
         assert from_list.metrics.mean_response_time_us() == \
             from_generator.metrics.mean_response_time_us()
 
-    def test_iter_workload_draws_identical_requests(self, config):
+    def test_iter_requests_draws_identical_requests(self, config):
         footprint = _footprint(config)
-        generated = generate_workload("usr_1", 100, footprint, seed=7)
-        streamed = list(iter_workload("usr_1", 100, footprint, seed=7))
+        generated = catalog_workload("usr_1", footprint, seed=7).generate(100)
+        streamed = list(catalog_workload("usr_1", footprint,
+                                         seed=7).iter_requests(100))
         assert [(r.arrival_us, r.kind, r.start_lpn, r.page_count)
                 for r in generated] == \
             [(r.arrival_us, r.kind, r.start_lpn, r.page_count)
@@ -56,7 +56,8 @@ class TestGeneratorInjection:
     def test_every_catalog_workload_streams(self, config):
         footprint = _footprint(config)
         for name in WORKLOAD_CATALOG:
-            first = next(iter_workload(name, 5, footprint, seed=0))
+            first = next(catalog_workload(name, footprint,
+                                          seed=0).iter_requests(5))
             assert first.arrival_us >= 0.0
 
     def test_interleaved_iterators_stay_independent(self, config):
@@ -76,7 +77,7 @@ class TestGeneratorInjection:
         # The generator split keeps validation eager: errors surface where
         # the stream is built, not on first pull inside the pump.
         with pytest.raises(ValueError, match="num_requests"):
-            iter_workload("usr_1", 0, _footprint(config))
+            catalog_workload("usr_1", _footprint(config)).iter_requests(0)
 
 
 class TestBoundedLookahead:
@@ -89,8 +90,9 @@ class TestBoundedLookahead:
         observed = {"max_scheduled": 0, "max_events": 0}
 
         def probed_stream():
-            for request in iter_workload("usr_1", 2000, footprint, seed=3,
-                                         mean_interarrival_us=300.0):
+            workload = catalog_workload("usr_1", footprint, seed=3,
+                                        mean_interarrival_us=300.0)
+            for request in workload.iter_requests(2000):
                 observed["max_scheduled"] = max(
                     observed["max_scheduled"], simulator._scheduled_arrivals)
                 observed["max_events"] = max(observed["max_events"],
@@ -107,7 +109,7 @@ class TestBoundedLookahead:
 
     def test_unsorted_list_is_sorted_up_front(self, config, rpt):
         footprint = _footprint(config)
-        requests = generate_workload("usr_1", 50, footprint, seed=2)
+        requests = catalog_workload("usr_1", footprint, seed=2).generate(50)
         shuffled = list(reversed(requests))
         from_sorted = _run(config, rpt, requests)
         from_shuffled = _run(config, rpt, shuffled)
@@ -149,7 +151,7 @@ class TestBoundedLookahead:
 class TestNoCallerMutation:
     def test_requests_unchanged_after_run(self, config, rpt):
         footprint = _footprint(config)
-        requests = generate_workload("usr_1", 60, footprint, seed=5)
+        requests = catalog_workload("usr_1", footprint, seed=5).generate(60)
         before = [(r.arrival_us, r.kind, r.start_lpn, r.page_count,
                    r.completion_us, r.pending_pages) for r in requests]
         _run(config, rpt, requests)
@@ -159,15 +161,15 @@ class TestNoCallerMutation:
 
     def test_same_list_replays_identically(self, config, rpt):
         footprint = _footprint(config)
-        requests = generate_workload("YCSB-B", 80, footprint, seed=6)
+        requests = catalog_workload("YCSB-B", footprint, seed=6).generate(80)
         first = _run(config, rpt, requests)
         second = _run(config, rpt, requests)
         assert first.metrics.summary() == second.metrics.summary()
 
     def test_simulate_policies_accepts_plain_sequence(self, config, rpt):
         footprint = _footprint(config)
-        requests = generate_workload("usr_1", 80, footprint, seed=4,
-                                     mean_interarrival_us=800.0)
+        requests = catalog_workload("usr_1", footprint, seed=4,
+                                    mean_interarrival_us=800.0).generate(80)
         results = simulate_policies(["Baseline", "PnAR2"], requests,
                                     config=config, pe_cycles=1000,
                                     retention_months=6.0, rpt=rpt)
@@ -178,8 +180,8 @@ class TestNoCallerMutation:
         footprint = _footprint(config)
 
         def factory():
-            return iter_workload("usr_1", 80, footprint, seed=4,
-                                 mean_interarrival_us=800.0)
+            return catalog_workload("usr_1", footprint, seed=4,
+                                    mean_interarrival_us=800.0).iter_requests(80)
 
         streaming = simulate_policies(["Baseline", "PnAR2"], factory,
                                       config=config, pe_cycles=1000,
@@ -193,8 +195,8 @@ class TestNoCallerMutation:
 
     def test_simulate_policies_materializes_bare_iterator(self, config, rpt):
         footprint = _footprint(config)
-        iterator = iter_workload("usr_1", 60, footprint, seed=4,
-                                 mean_interarrival_us=800.0)
+        iterator = catalog_workload("usr_1", footprint, seed=4,
+                                    mean_interarrival_us=800.0).iter_requests(60)
         results = simulate_policies(["Baseline", "NoRR"], iterator,
                                     config=config, pe_cycles=1000,
                                     retention_months=6.0, rpt=rpt)
@@ -210,8 +212,8 @@ class TestSessionStreaming:
         footprint = _footprint(tiny_ssd_config)
 
         def factory():
-            return iter_workload("usr_1", 60, footprint, seed=1,
-                                 mean_interarrival_us=700.0)
+            return catalog_workload("usr_1", footprint, seed=1,
+                                    mean_interarrival_us=700.0).iter_requests(60)
 
         streamed = (Simulation(tiny_ssd_config)
                     .policy("PnAR2")
@@ -233,7 +235,7 @@ class TestSessionStreaming:
 
     def test_shared_exhausted_iterator_rejected(self, tiny_ssd_config):
         footprint = _footprint(tiny_ssd_config)
-        shared = iter_workload("usr_1", 40, footprint, seed=1)
+        shared = catalog_workload("usr_1", footprint, seed=1).iter_requests(40)
         with pytest.raises(ValueError, match="same exhausted iterator"):
             (Simulation(tiny_ssd_config)
              .policies("Baseline", "NoRR")
@@ -242,7 +244,7 @@ class TestSessionStreaming:
 
     def test_rewrapped_shared_iterator_rejected(self, tiny_ssd_config):
         footprint = _footprint(tiny_ssd_config)
-        shared = iter_workload("usr_1", 40, footprint, seed=1)
+        shared = catalog_workload("usr_1", footprint, seed=1).iter_requests(40)
         # Each call returns a fresh generator object, defeating the identity
         # guard — the completed-count consistency check must still catch it.
         with pytest.raises(ValueError, match="different request counts"):

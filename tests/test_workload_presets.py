@@ -3,8 +3,9 @@
 import pytest
 
 from repro.ssd.request import RequestKind
-from repro.workloads.msrc import make_msrc_workload, msrc_shape
-from repro.workloads.ycsb import make_ycsb_workload, ycsb_shape
+from repro.workloads.msrc import msrc_shape
+from repro.workloads.synthetic import SyntheticWorkload
+from repro.workloads.ycsb import ycsb_shape
 
 
 class TestMsrcPreset:
@@ -16,13 +17,15 @@ class TestMsrcPreset:
         assert shape.sequential_fraction > 0.2
 
     def test_generator_produces_multi_page_requests(self):
-        workload = make_msrc_workload(0.75, 0.72, footprint_pages=4096, seed=1)
+        workload = SyntheticWorkload(msrc_shape(0.75, 0.72),
+                                     footprint_pages=4096, seed=1)
         requests = workload.generate(400)
         assert any(request.page_count > 1 for request in requests)
 
     def test_interarrival_override(self):
-        workload = make_msrc_workload(0.9, 0.9, footprint_pages=4096, seed=1,
-                                      mean_interarrival_us=50.0)
+        workload = SyntheticWorkload(
+            msrc_shape(0.9, 0.9, mean_interarrival_us=50.0),
+            footprint_pages=4096, seed=1)
         requests = workload.generate(300)
         duration = requests[-1].arrival_us
         assert duration / len(requests) < 120.0
@@ -40,14 +43,16 @@ class TestYcsbPreset:
         assert shape.sequential_fraction >= 0.4
 
     def test_generator_is_read_dominated(self):
-        workload = make_ycsb_workload(0.98, 0.72, footprint_pages=4096, seed=2)
+        workload = SyntheticWorkload(ycsb_shape(0.98, 0.72),
+                                     footprint_pages=4096, seed=2)
         requests = workload.generate(500)
         reads = sum(1 for request in requests
                     if request.kind is RequestKind.READ)
         assert reads / len(requests) > 0.93
 
     def test_zipf_concentrates_accesses(self):
-        workload = make_ycsb_workload(1.0, 0.0, footprint_pages=8192, seed=3)
+        workload = SyntheticWorkload(ycsb_shape(1.0, 0.0),
+                                     footprint_pages=8192, seed=3)
         requests = workload.generate(800)
         # With theta ~ 0.99, a small fraction of pages receives a large share
         # of the accesses.

@@ -1,17 +1,17 @@
-"""Adversarial scenarios, the WorkloadSource protocol and deprecation shims."""
+"""Adversarial scenarios, the WorkloadSource protocol and the catalog path."""
 
 import warnings
 
 import pytest
 
+import repro.workloads as workloads_package
 from repro.ssd.config import SsdConfig
 from repro.ssd.request import RequestKind
-from repro.workloads.catalog import (
-    catalog_workload,
-    generate_workload,
-    iter_workload,
-)
-from repro.workloads.msrc import make_msrc_workload
+from repro.workloads import catalog as catalog_module
+from repro.workloads import msrc as msrc_module
+from repro.workloads import ycsb as ycsb_module
+from repro.workloads.catalog import catalog_workload
+from repro.workloads.msrc import msrc_shape
 from repro.workloads.scenarios import (
     PATTERNS,
     BurstTrain,
@@ -30,7 +30,8 @@ from repro.workloads.source import (
     source_kinds,
     source_to_dict,
 )
-from repro.workloads.ycsb import make_ycsb_workload
+from repro.workloads.synthetic import SyntheticWorkload
+from repro.workloads.ycsb import ycsb_shape
 
 CONFIG = SsdConfig.tiny()
 
@@ -215,35 +216,45 @@ class TestSourceProtocol:
             as_workload_source(42)
 
 
-# -- deprecated entry points ---------------------------------------------------
+# -- the catalog path ----------------------------------------------------------
 class TestDeprecatedShims:
-    def test_generate_workload_warns_and_matches_catalog_path(self):
-        with pytest.warns(DeprecationWarning, match="generate_workload"):
-            legacy = list(generate_workload("usr_1", num_requests=30,
-                                            footprint_pages=256, seed=2))
-        fresh = list(catalog_workload("usr_1", footprint_pages=256,
-                                      seed=2).iter_requests(30))
-        assert [_key(r) for r in legacy] == [_key(r) for r in fresh]
-
-    def test_iter_workload_warns(self):
-        with pytest.warns(DeprecationWarning, match="iter_workload"):
-            stream = list(iter_workload("usr_1", num_requests=10,
-                                        footprint_pages=128, seed=0))
-        assert len(stream) == 10
-
-    def test_make_ycsb_workload_warns(self):
-        with pytest.warns(DeprecationWarning, match="make_ycsb_workload"):
-            workload = make_ycsb_workload(0.5, 0.3, footprint_pages=128,
-                                          seed=0)
-        assert len(list(workload.iter_requests(5))) == 5
-
-    def test_make_msrc_workload_warns(self):
-        with pytest.warns(DeprecationWarning, match="make_msrc_workload"):
-            workload = make_msrc_workload(0.9, 0.5, footprint_pages=128,
-                                          seed=0)
-        assert len(list(workload.iter_requests(5))) == 5
-
     def test_catalog_workload_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             catalog_workload("usr_1", footprint_pages=128, seed=0)
+
+    @pytest.mark.parametrize("module, name", [
+        (workloads_package, "generate_workload"),
+        (catalog_module, "generate_workload"),
+        (workloads_package, "iter_workload"),
+        (catalog_module, "iter_workload"),
+        (workloads_package, "make_msrc_workload"),
+        (msrc_module, "make_msrc_workload"),
+        (workloads_package, "make_ycsb_workload"),
+        (ycsb_module, "make_ycsb_workload"),
+    ])
+    def test_removed_shim_is_gone(self, module, name):
+        assert not hasattr(module, name)
+        assert name not in getattr(module, "__all__", ())
+
+    def test_msrc_catalog_entry_is_the_msrc_shape(self):
+        fresh = catalog_workload("usr_1", footprint_pages=256, seed=2,
+                                 mean_interarrival_us=450.0)
+        direct = SyntheticWorkload(
+            msrc_shape(0.96, 0.73, mean_interarrival_us=450.0),
+            footprint_pages=256, seed=2)
+        assert ([_key(r) for r in fresh.iter_requests(40)]
+                == [_key(r) for r in direct.iter_requests(40)])
+
+    def test_ycsb_catalog_entry_is_the_ycsb_shape(self):
+        fresh = catalog_workload("YCSB-E", footprint_pages=256, seed=5)
+        direct = SyntheticWorkload(ycsb_shape(0.99, 0.98, scan_heavy=True),
+                                   footprint_pages=256, seed=5)
+        assert ([_key(r) for r in fresh.iter_requests(40)]
+                == [_key(r) for r in direct.iter_requests(40)])
+
+    def test_deprecation_warnings_fail_the_suite(self):
+        # pyproject.toml turns DeprecationWarning into an error under
+        # pytest, so any reintroduced deprecated call fails its test.
+        with pytest.raises(DeprecationWarning, match="legacy entry point"):
+            warnings.warn("legacy entry point", DeprecationWarning)

@@ -9,7 +9,7 @@ from repro.workloads import (
     SyntheticWorkload,
     WORKLOAD_CATALOG,
     WorkloadShape,
-    generate_workload,
+    catalog_workload,
     read_msrc_csv,
     records_to_requests,
     workload_names,
@@ -147,7 +147,7 @@ class TestCatalog:
         assert WORKLOAD_CATALOG["prn_1"].read_dominant
 
     def test_generate_workload(self):
-        requests = generate_workload("YCSB-B", 200, footprint_pages=4096, seed=1)
+        requests = catalog_workload("YCSB-B", 4096, seed=1).generate(200)
         assert len(requests) == 200
         reads = sum(1 for request in requests
                     if request.kind is RequestKind.READ)
@@ -155,7 +155,7 @@ class TestCatalog:
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(KeyError):
-            generate_workload("nope", 10, 4096)
+            catalog_workload("nope", 4096)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
