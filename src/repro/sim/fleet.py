@@ -13,10 +13,11 @@ the array sustain under a p99 SLO?".  This module answers both:
 * :class:`FleetRunner` — shards any array-level workload (a
   :class:`~repro.sim.spec.WorkloadSpec`, a multi-tenant
   :class:`~repro.workloads.tenants.TenantMix`, or an explicit request list)
-  across per-device simulators via the striping router.  Every device
-  worker regenerates its own shard from the spec, so nothing is
-  materialized in the parent and ``processes=N`` is bitwise-identical to
-  serial;
+  across per-device simulators via the striping router.  Each worker
+  regenerates the array stream from the spec once per chunk of devices it
+  simulates and splits it in one pass, so nothing is materialized in the
+  parent, per-device host cost does not grow with the fleet size, and
+  ``processes=N`` is bitwise-identical to serial;
 * :class:`FleetResult` — array-level metrics from
   :meth:`~repro.ssd.metrics.LatencyHistogram.merge`: overall and per-tenant
   p50/p99/p999, per-device utilization skew;
@@ -231,36 +232,50 @@ def _requests_digest(requests: Sequence[HostRequest]) -> str:
     return digest.hexdigest()
 
 
-def _run_fleet_device(payload: dict) -> Tuple[str, int, SimulationResult]:
-    """Simulate one device's shard — pure function of its payload.
+def _run_fleet_device(payload: dict) -> List[Tuple[int, SimulationResult]]:
+    """Simulate one contiguous chunk of a shard's devices — a pure function of its payload.
 
-    The serial and parallel paths both execute exactly this function, which
-    is what makes ``processes=N`` bitwise-identical to a serial run.
+    The chunk makes one pass over the array-level stream (regenerated from
+    its spec, or the explicit list the parent already split) and then runs
+    its devices in ascending id order.  The serial and parallel paths both
+    execute exactly this function, which is what makes ``processes=N``
+    bitwise-identical to a serial run.
     """
     spec = FleetSpec.from_dict(payload["fleet"])
-    device = payload["device"]
-    policy_name = payload["policy"]
-    rpt = payload.get("rpt") or _default_rpt()
-    condition = spec.device_condition(device)
-    simulator = aged_simulator(
-        policy_name,
-        spec.config,
-        rpt,
-        pe_cycles=condition.pe_cycles,
-        retention_months=condition.retention_months,
-        fill_fraction=condition.fill_fraction,
-        faults=FaultPlan.from_dict(payload["faults"]) if payload.get("faults") else None,
-        device_id=device,
-        track_tenants=_payload_tracks_tenants(payload),
-    )
+    devices = range(*payload["devices"])
     if "device_requests" in payload:
-        # Explicit lists were sorted and sharded once in the parent; the
-        # payload already holds this device's own sub-requests.
-        shard: Iterable[HostRequest] = payload["device_requests"]
+        buffers = payload["device_requests"]
     else:
-        shard = spec.router().shard(_source_stream(payload, spec), device)
-    result = simulator.run(shard, lookahead=payload.get("lookahead") or DEFAULT_LOOKAHEAD_REQUESTS)
-    return policy_name, device, result
+        buffers = spec.router().partition(_source_stream(payload, spec), devices)
+    rpt = payload.get("rpt") or _default_rpt()
+    lookahead = payload.get("lookahead") or DEFAULT_LOOKAHEAD_REQUESTS
+    track_tenants = _payload_tracks_tenants(payload)
+    results = []
+    for device, requests in zip(devices, buffers):
+        condition = spec.device_condition(device)
+        simulator = aged_simulator(
+            payload["policy"],
+            spec.config,
+            rpt,
+            pe_cycles=condition.pe_cycles,
+            retention_months=condition.retention_months,
+            fill_fraction=condition.fill_fraction,
+            faults=FaultPlan.from_dict(payload["faults"]) if payload.get("faults") else None,
+            device_id=device,
+            track_tenants=track_tenants,
+        )
+        # An iterator, not the list: the simulator streams it exactly as it
+        # would the generator (a list would be re-sorted up front).
+        results.append((device, simulator.run(iter(requests), lookahead=lookahead)))
+        simulator.release()
+    return results
+
+
+def _chunks(devices: range, count: int) -> List[range]:
+    """Split a shard's devices into at most ``count`` contiguous, ascending chunks."""
+    count = min(count, len(devices))
+    bounds = [devices.start + len(devices) * index // count for index in range(count + 1)]
+    return [range(start, stop) for start, stop in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -505,13 +520,16 @@ class FleetRunner:
     ) -> FleetRunResult:
         """Shard ``source`` across the fleet for every policy.
 
-        Devices go through the worker pool in bounded shards; each worker
-        regenerates the array-level stream from its spec/mix payload and
-        filters it down to its own device, so the parent never materializes
-        a declarative trace and worker results are pure functions of their
-        payloads (serial == parallel, bitwise).  Explicit request lists —
-        already materialized by definition — are sorted and sharded once in
-        the parent, so each worker receives only its own device's
+        Devices go through the worker pool in bounded shards, and each
+        shard in one contiguous chunk per worker (the whole shard when
+        ``processes=1``).  A chunk regenerates the array-level stream from
+        its spec/mix payload once, splits every request once, keeps only
+        its own devices' sub-requests and then simulates those devices in
+        ascending id order.  The parent never materializes a declarative
+        trace, and worker results are pure functions of their payloads
+        (serial == parallel, bitwise).  Explicit request lists — already
+        materialized by definition — are sorted and split in one pass in
+        the parent, so each chunk receives only its own devices'
         sub-requests.  With a checkpoint store attached, finished shards
         are persisted and later runs fold them back in instead of
         re-simulating.
@@ -526,13 +544,10 @@ class FleetRunner:
         fault_plan = FaultPlan.coerce(faults) if faults is not None else None
         if "requests" in source_payload:
             # Keep the single-device contract ("pre-materialized sequences
-            # are sorted up front"), then split per device so payloads
+            # are sorted up front"), then split the list once so payloads
             # carry 1/N of the trace instead of devices x policies copies.
-            router = self.spec.router()
             ordered = sorted(source_payload.pop("requests"), key=lambda request: request.arrival_us)
-            shards = {
-                device: list(router.shard(ordered, device)) for device in range(self.spec.devices)
-            }
+            shards = self.spec.router().partition(ordered, range(self.spec.devices))
         else:
             ordered = None
             shards = None
@@ -604,20 +619,21 @@ class FleetRunner:
                         payloads = [
                             dict(
                                 common,
-                                device=device,
+                                devices=[chunk.start, chunk.stop],
                                 **(
-                                    {"device_requests": shards[device]}
+                                    {"device_requests": shards[chunk.start : chunk.stop]}
                                     if shards is not None
                                     else {}
                                 ),
                             )
-                            for device in device_range
+                            for chunk in _chunks(device_range, self.processes)
                         ]
                         states: List[dict] = []
-                        for _, device, result in pool.pool_map(_run_fleet_device, payloads):
-                            if params is not None:
-                                states.append(result.metrics.to_state())
-                            collector.absorb_device(device, result.metrics)
+                        for chunk_results in pool.pool_map(_run_fleet_device, payloads):
+                            for device, result in chunk_results:
+                                if params is not None:
+                                    states.append(result.metrics.to_state())
+                                collector.absorb_device(device, result.metrics)
                         if params is not None:
                             self.checkpoint.save(
                                 FLEET_SHARD_KIND,

@@ -162,16 +162,18 @@ def _run_cell(payload: dict) -> Tuple[str, Tuple[int, float], Dict[str, Simulati
     stream = _cached_stream(spec, config)
     results: Dict[str, SimulationResult] = {}
     for name in payload["policies"]:
-        # The device is a temporary: it is garbage before the next policy's
+        # The device is a temporary: it is released before the next policy's
         # device is built and preconditioned (peak memory = one device).
-        result = aged_simulator(
+        simulator = aged_simulator(
             name,
             config,
             rpt,
             pe_cycles=condition.pe_cycles,
             retention_months=condition.retention_months,
             fill_fraction=condition.fill_fraction,
-        ).run(stream)
+        )
+        result = simulator.run(stream)
+        simulator.release()
         results[result.policy_name] = result
     return spec.label, condition.as_tuple(), results
 

@@ -205,6 +205,17 @@ class SsdSimulator:
         self.on_request_complete: Optional[
             Callable[[HostRequest, float], None]] = None
 
+    def release(self) -> None:
+        """Let a finished simulator be freed as soon as its caller drops it.
+
+        The die schedulers hold bound methods of the simulator, a reference
+        cycle that only a full GC pass collects; dropping the schedulers lets
+        reference counting free the device (FTL, queues) at once.  Runners
+        that build devices back to back call this after each run, so their
+        peak memory stays one device.  The simulator cannot run again.
+        """
+        self.schedulers.clear()
+
     @property
     def distinct_read_conditions(self) -> int:
         """How many distinct (P/E, retention) conditions reads have seen.

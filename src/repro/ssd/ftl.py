@@ -9,7 +9,9 @@ opens the free block with the lowest P/E-cycle count.
 The FTL also keeps the per-block metadata the read-retry study needs: the
 block's P/E-cycle count and, per page, the retention age of the stored data
 (pages written during preconditioning carry the experiment's cold-data
-retention age; pages rewritten at run time are fresh).
+retention age; pages rewritten at run time are fresh).  Preconditioning
+clones one process-wide template of the closed-form fill instead of
+recomputing it per device (:meth:`FlashTranslationLayer.precondition_fill`).
 """
 
 from __future__ import annotations
@@ -262,35 +264,59 @@ class FlashTranslationLayer:
         for plane in self.planes:
             plane.set_pe_cycles(pe_cycles)
 
-    def precondition_fill(self, pages: int, retention_months: float = 0.0,
-                          pe_cycles: int = 0) -> None:
+    def precondition_fill(
+        self, pages: int, retention_months: float = 0.0, pe_cycles: int = 0
+    ) -> None:
         """Bulk preconditioning: fill LPNs 0..pages-1 and set a uniform wear.
 
         Produces the *exact* state that ``write(lpn, retention_months)`` for
-        every LPN in order followed by :meth:`set_uniform_pe_cycles` would:
-        round-robin plane striping (LPN ``n`` lands on plane ``n % planes``
-        as its ``n // planes``-th write), blocks opened in ascending id
-        order (the wear-leveling sort is stable and every block starts at
-        the same P/E count), pages filled sequentially.  The closed form
-        replaces ``pages`` allocator calls with per-block slice assignments,
-        which is what keeps simulator preconditioning off the hot-path
-        profile.  A non-fresh FTL falls back to the per-page loop, whose
-        allocator decisions depend on the existing state.
+        every LPN in order followed by :meth:`set_uniform_pe_cycles` would.
+        The layout depends only on ``(config, pages)``, so it is built once
+        per process (:func:`_fill_template`) and each FTL clones it: a
+        ``dict.copy()`` of the mapping (insertion order kept, immutable
+        entries shared), slice copies of the block and plane lists, and the
+        retention age and P/E count applied per clone.  One template thus
+        serves every condition of a sweep and every device of a fleet.
         """
         if pages < 0 or pages > self.config.logical_pages:
-            raise ValueError(f"cannot precondition {pages} pages into a "
-                             f"logical space of {self.config.logical_pages}")
+            raise ValueError(
+                f"cannot precondition {pages} pages into a "
+                f"logical space of {self.config.logical_pages}"
+            )
         if pe_cycles < 0:
             raise ValueError("pe_cycles must be non-negative")
-        fresh = (not self._mapping and self._next_plane == 0
-                 and all(plane._active_block is None
-                         and not plane._filled_blocks
-                         for plane in self.planes))
-        if not fresh:
-            for lpn in range(pages):
-                self.write(lpn, retention_months=retention_months)
-            self.set_uniform_pe_cycles(pe_cycles)
-            return
+        if self._mapping or self._next_plane or any(
+            plane._active_block is not None or plane._filled_blocks for plane in self.planes
+        ):
+            raise ValueError(
+                "precondition_fill needs a fresh FTL: the fill's layout assumes no block "
+                "has been written yet, and this FTL already holds data"
+            )
+        template = _fill_template(self.config, pages)
+        self._mapping = template._mapping.copy()
+        self._next_plane = template._next_plane
+        for plane, source in zip(self.planes, template.planes):
+            plane._active_block = source._active_block
+            plane._filled_blocks = source._filled_blocks[:]
+            plane._free_blocks = source._free_blocks[:]
+            for block, filled in zip(plane.blocks, source.blocks):
+                fill = filled.next_free_page
+                if not fill:
+                    break  # blocks fill in ascending id order
+                block.page_lpns = filled.page_lpns[:]
+                block.page_retention_months[:fill] = [retention_months] * fill
+                block.next_free_page = block.valid_count = fill
+        self.set_uniform_pe_cycles(pe_cycles)
+
+    def _closed_form_fill(self, pages: int) -> None:
+        """Lay out LPNs 0..pages-1 as the per-LPN write loop would, in bulk.
+
+        Round-robin plane striping (LPN ``n`` lands on plane ``n % planes``
+        as its ``n // planes``-th write), blocks opened in ascending id
+        order (the wear-leveling sort is stable and every block starts at
+        the same P/E count), pages filled sequentially.  Retention ages and
+        P/E counts are left at zero for the clones to set.
+        """
         plane_count = len(self.planes)
         pages_per_block = self.config.pages_per_block
         for plane_index, plane in enumerate(self.planes):
@@ -301,35 +327,27 @@ class FlashTranslationLayer:
             last_block = full_blocks if partial else full_blocks - 1
             for block_id in range(last_block + 1):
                 block = plane.blocks[block_id]
-                fill = partial if (block_id == last_block
-                                   and partial) else pages_per_block
+                fill = partial if (block_id == last_block and partial) else pages_per_block
                 base = block_id * pages_per_block
                 block.page_lpns[:fill] = [
-                    (base + page) * plane_count + plane_index
-                    for page in range(fill)
+                    (base + page) * plane_count + plane_index for page in range(fill)
                 ]
-                block.page_retention_months[:fill] = [retention_months] * fill
                 block.next_free_page = fill
                 block.valid_count = fill
             plane._filled_blocks = list(range(last_block))
             plane._active_block = last_block
-            plane._free_blocks = list(
-                range(last_block + 1, self.config.blocks_per_plane))
-        if pages:
-            # Build the mapping in one vectorized pass (ascending LPN order,
-            # matching the loop's insertion order).  ``tolist()`` matters:
-            # the mapping must hold Python ints, not numpy scalars, so that
-            # every PhysicalPage built from it stays identical to one the
-            # allocator would have produced.
-            lpns = np.arange(pages, dtype=np.int64)
-            slots, plane_indices = np.divmod(lpns, plane_count)
-            block_ids, page_indices = np.divmod(slots, pages_per_block)
-            self._mapping.update(zip(
-                range(pages),
-                zip(plane_indices.tolist(), block_ids.tolist(),
-                    page_indices.tolist())))
+            plane._free_blocks = list(range(last_block + 1, self.config.blocks_per_plane))
+        # Build the mapping in one vectorized pass (ascending LPN order,
+        # matching the loop's insertion order).  ``tolist()`` matters: the
+        # mapping must hold Python ints, not numpy scalars, so that every
+        # PhysicalPage built from it stays identical to one the allocator
+        # would have produced.
+        lpns = np.arange(pages, dtype=np.int64)
+        slots, plane_indices = np.divmod(lpns, plane_count)
+        block_ids, page_indices = np.divmod(slots, pages_per_block)
+        entries = zip(plane_indices.tolist(), block_ids.tolist(), page_indices.tolist())
+        self._mapping = dict(zip(range(pages), entries))
         self._next_plane = pages % plane_count
-        self.set_uniform_pe_cycles(pe_cycles)
 
     # -- statistics ----------------------------------------------------------------------
     @property
@@ -341,3 +359,27 @@ class FlashTranslationLayer:
 
     def planes_needing_gc(self) -> List[int]:
         return [index for index, plane in enumerate(self.planes) if plane.needs_gc()]
+
+
+#: The process's one fill template: ``(config, pages)`` -> the FTL laid out
+#: by :meth:`FlashTranslationLayer._closed_form_fill`.  A single entry is
+#: enough because a sweep or fleet preconditions every device with the same
+#: geometry and fill fraction; a new key replaces it.
+_FILL_TEMPLATE: Dict[Tuple[SsdConfig, int], FlashTranslationLayer] = {}
+
+
+def _fill_template(config: SsdConfig, pages: int) -> FlashTranslationLayer:
+    """The shared closed-form fill of ``pages`` LPNs (never mutated)."""
+    key = (config, pages)
+    template = _FILL_TEMPLATE.get(key)
+    if template is None:
+        template = FlashTranslationLayer(config)
+        template._closed_form_fill(pages)
+        _FILL_TEMPLATE.clear()
+        _FILL_TEMPLATE[key] = template
+    return template
+
+
+def clear_fill_template() -> None:
+    """Drop the cached fill template (cold-start and test isolation hook)."""
+    _FILL_TEMPLATE.clear()

@@ -44,6 +44,7 @@ from repro.nand.geometry import PageType
 from repro.nand.voltage import ReadRetryTable
 from repro.ssd.config import SsdConfig
 from repro.ssd.flash_backend import ReadBehaviour
+from repro.ssd.ftl import clear_fill_template
 
 #: A slab: behaviours of every (page type, corner) under one condition.
 Slab = Dict[PageType, List[ReadBehaviour]]
@@ -297,6 +298,7 @@ def prefill_shared_grid(config: SsdConfig, rpt: ReadTimingParameterTable, condit
 
 
 def clear_shared_grids() -> None:
-    """Drop all process-wide grids (test isolation hook)."""
+    """Drop all process-wide grids and the FTL fill template (test isolation hook)."""
     _SHARED_GRIDS.clear()
     _VARIATION_ARRAYS_CACHE.clear()
+    clear_fill_template()

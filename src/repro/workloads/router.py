@@ -16,11 +16,13 @@ devices with replication R therefore exposes ``N / R`` devices' worth of
 logical capacity, exactly like a real mirrored array.
 
 The router is a pure function of ``(devices, stripe_unit_pages,
-replication)`` and the request stream: :meth:`StripeRouter.shard` turns any
-streaming iterable of array-level :class:`~repro.ssd.request.HostRequest`
-objects into the lazily filtered sub-request stream of one device, which is
-what lets every device worker of a fleet run regenerate its own shard from
-the workload spec instead of shipping materialized traces between processes.
+replication)`` and the request stream: :meth:`StripeRouter.partition` makes
+one pass over any streaming iterable of array-level
+:class:`~repro.ssd.request.HostRequest` objects, splits each request once
+and keeps the sub-requests of a contiguous run of devices, one list per
+device.  A fleet worker regenerates the array stream from the workload spec
+once per chunk of devices it simulates, so the stream is never shipped
+between processes and its cost does not grow with the fleet size.
 
 Sub-requests preserve the parent's arrival time and ``queue_id`` (the
 tenant tag), so per-device arrival order — and therefore the simulator's
@@ -30,7 +32,7 @@ bounded-lookahead pump contract — is preserved by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, List, Tuple
 
 from repro.ssd.request import HostRequest, RequestKind
 
@@ -66,9 +68,7 @@ class StripeRouter:
 
     def replicas(self, lpn: int) -> Tuple[Tuple[int, int], ...]:
         """Every (device, local lpn) holding a copy (primary first)."""
-        return tuple(
-            self._locate(lpn, copy) for copy in range(self.replication)
-        )
+        return tuple(self._locate(lpn, copy) for copy in range(self.replication))
 
     def read_placement(self, lpn: int) -> Tuple[int, int]:
         """The (device, local lpn) a read of ``lpn`` is routed to.
@@ -117,13 +117,19 @@ class StripeRouter:
             for device, local_start, page_count in runs
         ]
 
-    def shard(
-        self, stream: Iterable[HostRequest], device: int
-    ) -> Iterator[HostRequest]:
-        """Lazily filter an array-level stream down to one device's shard."""
-        if not 0 <= device < self.devices:
-            raise ValueError(f"device must be in [0, {self.devices})")
+    def partition(self, stream: Iterable[HostRequest], devices: range) -> List[List[HostRequest]]:
+        """One pass over an array-level stream, split into per-device lists.
+
+        Every request is split once; the sub-requests bound for ``devices``
+        (a contiguous, ascending range of device ids) are kept in stream
+        order, one list per device, and all others are dropped.
+        """
+        if devices.step != 1 or not 0 <= devices.start <= devices.stop <= self.devices:
+            raise ValueError(f"devices must be a contiguous range within [0, {self.devices})")
+        first, stop = devices.start, devices.stop
+        buffers: List[List[HostRequest]] = [[] for _ in devices]
         for request in stream:
-            for target, sub_request in self.split(request):
-                if target == device:
-                    yield sub_request
+            for device, sub_request in self.split(request):
+                if first <= device < stop:
+                    buffers[device - first].append(sub_request)
+        return buffers

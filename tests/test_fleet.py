@@ -86,20 +86,90 @@ class TestStripeRouter:
                            start_lpn=0, page_count=4)
         assert len(router.split(read)) == 1
 
-    def test_shard_preserves_arrival_order(self):
+    def test_partition_preserves_arrival_order(self):
         router = StripeRouter(devices=2, stripe_unit_pages=4)
         stream = [HostRequest(arrival_us=float(i), kind=RequestKind.READ,
                               start_lpn=(i * 3) % 64, page_count=2)
                   for i in range(50)]
-        for device in range(2):
-            arrivals = [sub.arrival_us
-                        for sub in router.shard(iter(stream), device)]
+        for shard in router.partition(iter(stream), range(2)):
+            arrivals = [sub.arrival_us for sub in shard]
             assert arrivals == sorted(arrivals)
 
-    def test_shard_rejects_unknown_device(self):
+    @pytest.mark.parametrize("devices", [range(0, 3), range(-1, 1), range(0, 2, 2)])
+    def test_partition_rejects_devices_outside_the_array(self, devices):
         router = StripeRouter(devices=2)
         with pytest.raises(ValueError):
-            list(router.shard([], 2))
+            router.partition([], devices)
+
+
+def _shard_oracle(router, stream, device):
+    """The per-device filter the fleet used before the single pass."""
+    for request in stream:
+        for target, sub_request in router.split(request):
+            if target == device:
+                yield sub_request
+
+
+def _identity(requests):
+    return [(request.arrival_us, request.kind, request.start_lpn,
+             request.page_count, request.queue_id) for request in requests]
+
+
+class TestSinglePassPartition:
+    @pytest.mark.parametrize("devices, stripe, replication", [
+        (4, 8, 1), (4, 8, 2), (3, 8, 1), (5, 8, 2), (7, 3, 2)])
+    def test_buffers_equal_the_per_device_filter(self, devices, stripe, replication):
+        fleet = FleetSpec(devices=devices, stripe_unit_pages=stripe,
+                          replication=replication, config=CONFIG)
+        router = fleet.router()
+        # stg_0 mixes reads with writes, which fan out to every replica.
+        workload = WorkloadSpec(name="stg_0", num_requests=300, seed=3)
+        stream = list(workload.iter_requests(
+            CONFIG, footprint_pages=fleet.array_logical_pages))
+        kinds = {request.kind for request in stream}
+        assert kinds == {RequestKind.READ, RequestKind.WRITE}
+        expected = [_identity(_shard_oracle(router, stream, device))
+                    for device in range(devices)]
+        assert sum(map(len, expected)) >= len(stream)
+        whole = router.partition(iter(stream), range(devices))
+        assert [_identity(shard) for shard in whole] == expected
+        # Any contiguous chunk of devices sees exactly its own shards.
+        for start in range(devices):
+            for stop in range(start, devices + 1):
+                chunk = router.partition(iter(stream), range(start, stop))
+                assert [_identity(shard) for shard in chunk] == expected[start:stop]
+
+    @staticmethod
+    def _count_stream_work(monkeypatch, devices):
+        from repro.workloads.synthetic import SyntheticWorkload
+
+        counts = {"split": 0, "generated": 0}
+        split = StripeRouter.split
+        iter_requests = SyntheticWorkload.iter_requests
+
+        def counting_split(self, request):
+            counts["split"] += 1
+            return split(self, request)
+
+        def counting_iter_requests(self, *args, **kwargs):
+            for request in iter_requests(self, *args, **kwargs):
+                counts["generated"] += 1
+                yield request
+
+        monkeypatch.setattr(StripeRouter, "split", counting_split)
+        monkeypatch.setattr(SyntheticWorkload, "iter_requests", counting_iter_requests)
+        fleet = FleetSpec(devices=devices, config=CONFIG, condition=AGED)
+        run = FleetRunner(fleet, processes=1).run(_spec(200), policies="Baseline")
+        monkeypatch.undo()
+        assert run.result.device_count == devices
+        return counts
+
+    def test_stream_work_is_independent_of_fleet_size(self, monkeypatch):
+        small = self._count_stream_work(monkeypatch, 4)
+        large = self._count_stream_work(monkeypatch, 16)
+        # One generation and one split per array request, whatever the
+        # number of devices sharing the stream.
+        assert small == large == {"split": 200, "generated": 200}
 
 
 # -- TenantMix -----------------------------------------------------------------

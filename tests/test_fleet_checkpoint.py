@@ -201,3 +201,32 @@ class TestExecutionEquivalence:
         assert _rows(coarse) == _rows(fine)
         assert len(coarse.result.shard_timings) == 1
         assert len(fine.result.shard_timings) == 4
+
+    def test_uneven_chunks_and_resume_match_serial(self, tmp_path):
+        # 13 devices in shards of 5 (5, 5, 3) split over three workers gives
+        # chunks of uneven size, including single-device chunks.
+        fleet = FleetSpec(devices=13, replication=2, config=CONFIG,
+                          condition=Condition(1000, 6.0))
+        workload = _workload(200)
+        serial = FleetRunner(fleet, shard_devices=5).run(workload)
+        parallel = FleetRunner(fleet, shard_devices=5, processes=3).run(workload)
+        store = CheckpointStore(tmp_path)
+        FleetRunner(fleet, shard_devices=5, checkpoint=store).run(workload)
+        documents = [json.loads(path.read_text())
+                     for path in sorted(store.entries(FLEET_SHARD_KIND))]
+        # The checkpoint key keeps its shape: one entry per shard of devices.
+        assert {tuple(sorted(document["params"])) for document in documents} == {
+            ("devices", "faults", "fleet", "lookahead", "policy", "rpt", "schema",
+             "shard", "source")}
+        assert sorted(document["params"]["devices"] for document in documents) == [
+            [0, 5], [5, 10], [10, 13]]
+        for path in sorted(store.entries(FLEET_SHARD_KIND))[:2]:
+            path.unlink()
+        resumed = FleetRunner(fleet, shard_devices=5, processes=3,
+                              checkpoint=store).run(workload)
+        assert resumed.manifest["checkpoints"] == {"hits": 1, "stored": 2}
+        assert [row["device"] for row in _rows(serial)] == list(range(13))
+        for other in (parallel, resumed):
+            assert _rows(other) == _rows(serial)
+            assert other.result.p99() == serial.result.p99()
+            assert other.result.mean_response_us() == serial.result.mean_response_us()

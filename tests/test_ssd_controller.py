@@ -134,3 +134,24 @@ class TestGcIntegration:
         assert result.metrics.gc_programs >= 0
         # The device never runs out of free blocks (the run completes).
         assert result.metrics.host_writes == 800
+
+
+class TestRelease:
+    def test_released_simulator_is_freed_without_a_gc_pass(self, config, default_rpt):
+        import gc
+        import weakref
+
+        simulator = SsdSimulator(config, policy="PnAR2", rpt=default_rpt)
+        simulator.precondition(pe_cycles=1000, retention_months=6.0)
+        result = simulator.run([read(0.0, 10), write(5.0, 3), read(9.0, 40)])
+        ftl = weakref.ref(simulator.ftl)
+        gc.disable()
+        try:
+            simulator.release()
+            del simulator
+            # Reference counting alone frees the device: no cycle is left.
+            assert ftl() is None
+        finally:
+            gc.enable()
+        assert result.metrics.host_reads == 2
+        assert result.metrics.host_writes == 1

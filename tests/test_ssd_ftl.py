@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from repro.nand.geometry import PageType
 from repro.ssd.config import SsdConfig
-from repro.ssd.ftl import FlashTranslationLayer
+from repro.ssd.ftl import FlashTranslationLayer, _fill_template, clear_fill_template
+from repro.ssd.gc import GarbageCollector
 
 
 @pytest.fixture()
@@ -168,14 +169,79 @@ class TestPreconditionFillEquivalence:
         looped = _loop_preconditioned(config, pages, retention, pe_cycles)
         _assert_ftl_state_equal(filled, looped)
 
-    def test_non_fresh_ftl_falls_back_to_loop(self):
+    def test_non_fresh_ftl_is_rejected(self):
         config = SsdConfig.tiny()
-        filled = FlashTranslationLayer(config)
-        filled.write(3)  # any prior write voids the closed form
-        filled.precondition_fill(16, retention_months=6.0, pe_cycles=500)
-        looped = FlashTranslationLayer(config)
-        looped.write(3)
-        for lpn in range(16):
-            looped.write(lpn, retention_months=6.0)
-        looped.set_uniform_pe_cycles(500)
-        _assert_ftl_state_equal(filled, looped)
+        written = FlashTranslationLayer(config)
+        written.write(3)  # any prior write voids the fill's layout
+        with pytest.raises(ValueError, match="needs a fresh FTL"):
+            written.precondition_fill(16, retention_months=6.0, pe_cycles=500)
+        # The rejected call leaves the FTL as it was.
+        expected = FlashTranslationLayer(config)
+        expected.write(3)
+        _assert_ftl_state_equal(written, expected)
+
+
+def _preconditioned(config, pages, retention_months, pe_cycles):
+    ftl = FlashTranslationLayer(config)
+    ftl.precondition_fill(pages, retention_months=retention_months, pe_cycles=pe_cycles)
+    return ftl
+
+
+def _pristine_template(config, pages):
+    template = FlashTranslationLayer(config)
+    template._closed_form_fill(pages)
+    return template
+
+
+class TestFillTemplate:
+    @given(st.sampled_from([0.0, 0.1, 0.5, 0.62, 0.85, 1.0]),
+           st.sampled_from([(0, 0.0), (1000, 6.0), (2000, 12.0), (3000, 0.0)]),
+           st.sampled_from([(0, 0.0), (500, 1.0)]))
+    @settings(max_examples=24, deadline=None)
+    def test_clone_matches_closed_form_and_write_loop(self, fill_fraction, aged, earlier):
+        config = SsdConfig.tiny()
+        pages = int(config.logical_pages * fill_fraction)
+        pe_cycles, retention = aged
+        looped = _loop_preconditioned(config, pages, retention, pe_cycles)
+        clear_fill_template()
+        cold = _preconditioned(config, pages, retention, pe_cycles)
+        # A warm clone reuses the template a different condition built.
+        clear_fill_template()
+        _preconditioned(config, pages, earlier[1], earlier[0])
+        template = _fill_template(config, pages)
+        warm = _preconditioned(config, pages, retention, pe_cycles)
+        assert _fill_template(config, pages) is template
+        _assert_ftl_state_equal(cold, looped)
+        _assert_ftl_state_equal(warm, looped)
+        _assert_ftl_state_equal(template, _pristine_template(config, pages))
+
+    def test_clones_share_no_mutable_state(self):
+        config = SsdConfig.tiny()
+        pages = int(config.logical_pages * 0.85)
+        clear_fill_template()
+        mutated = _preconditioned(config, pages, 6.0, 1000)
+        sibling = _preconditioned(config, pages, 6.0, 1000)
+        template = _fill_template(config, pages)
+        # Overwrites invalidate cloned pages and fill the active blocks, GC
+        # relocates and erases, and a direct erase resets a cloned block.
+        collector = GarbageCollector(mutated)
+        for _ in range(3):
+            for lpn in range(0, pages, 3):
+                mutated.write(lpn)
+                collector.collect_if_needed()
+        assert collector.stats.erased_blocks > 0
+        mutated.planes[0].erase(0)
+        mutated.trim(1)
+        assert not mutated.is_mapped(1)
+        _assert_ftl_state_equal(sibling, _preconditioned(config, pages, 6.0, 1000))
+        _assert_ftl_state_equal(template, _pristine_template(config, pages))
+        assert _fill_template(config, pages) is template
+
+    def test_new_geometry_replaces_the_template(self):
+        clear_fill_template()
+        tiny = SsdConfig.tiny()
+        first = _fill_template(tiny, 100)
+        assert _fill_template(tiny, 100) is first
+        other = _fill_template(tiny, 101)
+        assert other is not first
+        assert _fill_template(tiny, 100) is not first
