@@ -8,7 +8,6 @@ BCH decoding, the event engine and the end-to-end simulator throughput).
 import numpy as np
 import pytest
 
-from repro.ecc.bch import BchCode
 from repro.errors import CodewordErrorModel, OperatingCondition
 from repro.experiments.store import CheckpointStore
 from repro.errors.batch import BatchErrorModel
@@ -20,6 +19,8 @@ from repro.ssd.controller import SsdSimulator
 from repro.ssd.engine import EventQueue
 from repro.ssd.retry_grid import RetryStepGrid
 from repro.workloads import catalog_workload
+
+from oracles.bch import BchCode
 
 
 @pytest.fixture(scope="module")

@@ -16,7 +16,6 @@ Usage::
 
 import argparse
 
-from repro.analysis import format_table
 from repro.characterization import (
     build_rpt,
     ecc_margin_sweep,
@@ -25,6 +24,11 @@ from repro.characterization import (
 )
 from repro.characterization.platform import VirtualTestPlatform
 from repro.characterization.retry_profile import summarize_profiles
+from repro.experiments.reporting import ExperimentResult
+
+
+def show(name: str, title: str, rows) -> None:
+    print(ExperimentResult(name=name, title=title, rows=list(rows)).to_text())
 
 
 def main() -> None:
@@ -44,25 +48,24 @@ def main() -> None:
     print(f"(A 12-month retention age corresponds to a "
           f"{platform.bake_plan_hours(12.0):.0f}-hour bake at 85C.)\n")
 
-    print("== Figure 5: retry steps per read ==")
     profiles = profile_retry_steps(platform)
-    print(format_table(summarize_profiles(profiles)))
+    show("fig05", "Figure 5: retry steps per read", summarize_profiles(profiles))
     worst = profiles[(2000, 12.0)]
     print(f"\nAt 2K P/E cycles and a 1-year retention age the average read "
           f"needs {worst.mean_steps:.1f} retry steps "
           f"({worst.read_latency_amplification():.0f}x the no-retry latency).\n")
 
-    print("== Figure 7: ECC-capability margin in the final retry step ==")
     margin_rows = ecc_margin_sweep(platform, temperatures_c=(85.0, 30.0),
                                    retention_months=(0.0, 6.0, 12.0))
-    print(format_table(margin_rows))
+    show("fig07", "Figure 7: ECC-capability margin in the final retry step",
+         margin_rows)
 
-    print("\n== Figure 11: minimum safe tPRE ==")
-    print(format_table(minimum_safe_tpre_sweep(platform)))
+    print()
+    show("fig11", "Figure 11: minimum safe tPRE", minimum_safe_tpre_sweep(platform))
 
-    print("\n== Figure 13: Read-timing Parameter Table (RPT) ==")
+    print()
     rpt = build_rpt(platform)
-    print(format_table(rpt.as_rows()))
+    show("fig13", "Figure 13: Read-timing Parameter Table (RPT)", rpt.as_rows())
     print(f"\nRPT storage footprint: {rpt.storage_bytes()} bytes")
 
 

@@ -3,13 +3,13 @@
 This package reimplements, in pure Python, the full system stack evaluated in
 the ASPLOS 2021 paper by Park et al.:
 
-* :mod:`repro.nand` — behavioural 3D TLC NAND flash model (organization,
-  timing parameters, command set, read-retry tables, per-chip state).
+* :mod:`repro.nand` — 3D TLC NAND flash parameters (page types, timing
+  parameters, read-reference voltages and read-retry tables).
 * :mod:`repro.errors` — threshold-voltage and raw-bit-error-rate models,
   including the effect of retention loss, program/erase cycling, operating
-  temperature, and reduced read-timing parameters.
-* :mod:`repro.ecc` — error-correcting-code substrate (capability-model engine
-  used by the simulator plus real BCH and LDPC codecs).
+  temperature, and reduced read-timing parameters; ECC is modelled by its
+  capability (72 bits per 1-KiB codeword, :mod:`repro.errors.calibration`)
+  and its decode latency ``tECC``.
 * :mod:`repro.characterization` — the virtual 160-chip characterization
   platform that regenerates the paper's Figures 4(b), 5, 7, 8, 9, 10 and 11
   and builds the Read-timing Parameter Table (RPT).

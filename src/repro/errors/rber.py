@@ -11,8 +11,8 @@ Two views are provided:
 * *expected* error counts (deterministic, used for calibration, the
   characterization sweeps and the RPT builder), and
 * *sampled* error counts (Poisson-distributed around the expectation, used by
-  the behavioural chip model so that marginal pages occasionally need one
-  more or one fewer retry step, as real outlier pages do).
+  sampled retry walks so that marginal pages occasionally need one more or
+  one fewer retry step, as real outlier pages do).
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional
 
 #: Version of the serialized result layout.  Part of every cache key, so
 #: bumping it invalidates all stored artifacts at once.  Version 2: sweep
@@ -41,6 +41,10 @@ def jsonify(value):
     if hasattr(value, "item") and type(value).__module__ == "numpy":
         return value.item()
     return value
+
+
+class DegenerateRunError(RuntimeError):
+    """A run finished without exercising what it measures."""
 
 
 @dataclass
@@ -145,6 +149,38 @@ class ExperimentResult:
         matched = self.filter_rows(approx=approx, tolerance=tolerance,
                                    **criteria)
         return matched[0] if matched else None
+
+    def require(
+        self, why: str, group_by: Optional[str] = None, **checks: Callable[[object], bool]
+    ) -> "ExperimentResult":
+        """Postcondition of a run: it has rows and every row passes every check.
+
+        A run that finishes without exercising what it measures (no GC in a
+        wear experiment, no fault in a fault experiment) raises
+        :class:`DegenerateRunError` instead of passing as coverage.
+
+        :param why: what the checks establish, for the error message.
+        :param group_by: when given, one group of rows sharing this column's
+            value (one workload, one pattern) passing in every row suffices.
+        :param checks: column name -> predicate its value must satisfy.
+        """
+        if not self.rows:
+            raise DegenerateRunError(f"{self.name} produced no rows, so not {why}")
+        failures = []
+        for index, row in enumerate(self.rows):
+            for column, passes in checks.items():
+                if not passes(row[column]):
+                    failures.append((index, f"{column} = {row[column]!r}"))
+                    break
+        if group_by is not None:
+            failed = {self.rows[index][group_by] for index, _ in failures}
+            if any(row[group_by] not in failed for row in self.rows):
+                return self
+        if failures:
+            index, problem = failures[0]
+            scope = f" (and no {group_by} passes in every row)" if group_by else ""
+            raise DegenerateRunError(f"{self.name} row {index}: {problem}{scope}, so not {why}")
+        return self
 
     # -- serialization -----------------------------------------------------------
     def to_dict(self) -> dict:

@@ -1,43 +1,27 @@
-"""Behavioural model of 3D TLC NAND flash memory.
+"""3D TLC NAND flash parameters shared by the error models and the simulator.
 
-The subpackage models the pieces of a NAND flash chip that the paper's
-techniques interact with:
-
-* :mod:`repro.nand.geometry` — the physical organization (chip / die / plane /
-  block / wordline / page) and address arithmetic.
+* :mod:`repro.nand.geometry` — the TLC page types (LSB / CSB / MSB), their
+  sensing counts and sensed read-reference boundaries.
 * :mod:`repro.nand.timing` — read/program/erase timing parameters, including
   the three read phases (precharge, evaluation, discharge) whose durations
   AR2 manipulates, and Table 1 of the paper.
 * :mod:`repro.nand.voltage` — threshold-voltage states, read-reference
   voltages, Gray coding of TLC pages and the manufacturer read-retry table.
-* :mod:`repro.nand.commands` — the command set (PAGE READ, CACHE READ,
-  SET FEATURE, RESET, PROGRAM, ERASE) with per-command protocol overheads.
-* :mod:`repro.nand.chip` — a behavioural chip that executes commands against
-  the error model, tracks busy/ready state, page buffers (for CACHE READ) and
-  the currently active timing parameters (for SET FEATURE).
+
+The simulator models the paper's command sequences (CACHE READ + RESET for
+PR2, SET FEATURE for AR2) in closed form (:mod:`repro.core.latency`); a
+command-level chip model checks those equations in the test suite.
 """
 
-from repro.nand.geometry import (
-    ChipGeometry,
-    PageAddress,
-    PageType,
-)
+from repro.nand.geometry import PageType
 from repro.nand.timing import ReadTimingParameters, TimingParameters
-from repro.nand.voltage import ReadRetryTable, ReadReferenceSet, TLC_GRAY_CODE
-from repro.nand.commands import Command, CommandKind
-from repro.nand.chip import NandChip, ReadResult
+from repro.nand.voltage import TLC_GRAY_CODE, ReadReferenceSet, ReadRetryTable
 
 __all__ = [
-    "ChipGeometry",
-    "PageAddress",
     "PageType",
     "ReadTimingParameters",
     "TimingParameters",
     "ReadRetryTable",
     "ReadReferenceSet",
     "TLC_GRAY_CODE",
-    "Command",
-    "CommandKind",
-    "NandChip",
-    "ReadResult",
 ]

@@ -1,12 +1,11 @@
-"""Physical organization of 3D NAND flash memory and address arithmetic.
+"""Page types of 3D TLC NAND flash memory.
 
 The hierarchy follows Section 2.1 and Figure 1 of the paper: flash cells are
 stacked vertically into NAND strings, strings at different bitlines form a
 sub-block, several sub-blocks form a block, thousands of blocks form a plane,
-multiple planes form a die and multiple dies form a chip.  For the purposes
-of this reproduction the externally visible units are:
-
-``chip -> die -> plane -> block -> wordline -> page``
+multiple planes form a die and multiple dies form a chip.  The SSD simulator
+sizes that hierarchy in :class:`repro.ssd.config.SsdConfig`; this module holds
+the page types that every layer shares.
 
 A TLC wordline stores three pages (LSB, CSB, MSB), each read with a different
 number of sensing operations (``N_SENSE`` = 2, 3, 2 respectively, footnote 14
@@ -16,7 +15,6 @@ of the paper).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 
 class PageType(enum.Enum):
@@ -59,161 +57,3 @@ _SENSED_BOUNDARIES = {
 
 #: Order in which the three pages of a wordline are laid out.
 PAGE_TYPE_ORDER = (PageType.LSB, PageType.CSB, PageType.MSB)
-
-
-@dataclass(frozen=True)
-class ChipGeometry:
-    """Dimensions of a NAND flash chip.
-
-    The defaults reproduce the simulated SSD of Section 7.1: 4 dies per
-    channel and 2 planes per die, 1,888 blocks per plane, 576 16-KiB pages
-    per block.  576 pages over 3 pages per wordline gives 192 wordlines per
-    block.
-    """
-
-    dies_per_chip: int = 4
-    planes_per_die: int = 2
-    blocks_per_plane: int = 1888
-    wordlines_per_block: int = 192
-    page_size_bytes: int = 16 * 1024
-    codeword_data_bytes: int = 1024
-
-    def __post_init__(self) -> None:
-        for name in ("dies_per_chip", "planes_per_die", "blocks_per_plane",
-                     "wordlines_per_block", "page_size_bytes",
-                     "codeword_data_bytes"):
-            value = getattr(self, name)
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-        if self.page_size_bytes % self.codeword_data_bytes:
-            raise ValueError(
-                "page_size_bytes must be a multiple of codeword_data_bytes")
-
-    # -- derived quantities -------------------------------------------------
-    @property
-    def pages_per_wordline(self) -> int:
-        """Three pages (LSB/CSB/MSB) per TLC wordline."""
-        return len(PAGE_TYPE_ORDER)
-
-    @property
-    def pages_per_block(self) -> int:
-        return self.wordlines_per_block * self.pages_per_wordline
-
-    @property
-    def pages_per_plane(self) -> int:
-        return self.pages_per_block * self.blocks_per_plane
-
-    @property
-    def pages_per_die(self) -> int:
-        return self.pages_per_plane * self.planes_per_die
-
-    @property
-    def pages_per_chip(self) -> int:
-        return self.pages_per_die * self.dies_per_chip
-
-    @property
-    def blocks_per_die(self) -> int:
-        return self.blocks_per_plane * self.planes_per_die
-
-    @property
-    def blocks_per_chip(self) -> int:
-        return self.blocks_per_die * self.dies_per_chip
-
-    @property
-    def codewords_per_page(self) -> int:
-        return self.page_size_bytes // self.codeword_data_bytes
-
-    @property
-    def capacity_bytes(self) -> int:
-        return self.pages_per_chip * self.page_size_bytes
-
-    # -- address helpers ----------------------------------------------------
-    def page_type_of(self, page_in_block: int) -> PageType:
-        """Return the page type of the ``page_in_block``-th page of a block."""
-        self._check_range(page_in_block, self.pages_per_block, "page_in_block")
-        return PAGE_TYPE_ORDER[page_in_block % self.pages_per_wordline]
-
-    def wordline_of(self, page_in_block: int) -> int:
-        """Return the wordline index of the ``page_in_block``-th page."""
-        self._check_range(page_in_block, self.pages_per_block, "page_in_block")
-        return page_in_block // self.pages_per_wordline
-
-    def make_address(self, die: int, plane: int, block: int,
-                     page: int) -> "PageAddress":
-        """Build a validated :class:`PageAddress`."""
-        self._check_range(die, self.dies_per_chip, "die")
-        self._check_range(plane, self.planes_per_die, "plane")
-        self._check_range(block, self.blocks_per_plane, "block")
-        self._check_range(page, self.pages_per_block, "page")
-        return PageAddress(die=die, plane=plane, block=block, page=page,
-                           page_type=self.page_type_of(page),
-                           wordline=self.wordline_of(page))
-
-    def flat_page_index(self, address: "PageAddress") -> int:
-        """Map an address to a dense integer in ``[0, pages_per_chip)``."""
-        return (((address.die * self.planes_per_die + address.plane)
-                 * self.blocks_per_plane + address.block)
-                * self.pages_per_block + address.page)
-
-    def address_from_flat(self, index: int) -> "PageAddress":
-        """Inverse of :meth:`flat_page_index`."""
-        self._check_range(index, self.pages_per_chip, "index")
-        page = index % self.pages_per_block
-        index //= self.pages_per_block
-        block = index % self.blocks_per_plane
-        index //= self.blocks_per_plane
-        plane = index % self.planes_per_die
-        die = index // self.planes_per_die
-        return self.make_address(die, plane, block, page)
-
-    def flat_block_index(self, die: int, plane: int, block: int) -> int:
-        """Map ``(die, plane, block)`` to a dense integer block identifier."""
-        self._check_range(die, self.dies_per_chip, "die")
-        self._check_range(plane, self.planes_per_die, "plane")
-        self._check_range(block, self.blocks_per_plane, "block")
-        return ((die * self.planes_per_die + plane)
-                * self.blocks_per_plane + block)
-
-    def iter_block_addresses(self):
-        """Yield ``(die, plane, block)`` triples for every block in the chip."""
-        for die in range(self.dies_per_chip):
-            for plane in range(self.planes_per_die):
-                for block in range(self.blocks_per_plane):
-                    yield die, plane, block
-
-    @staticmethod
-    def _check_range(value: int, upper: int, name: str) -> None:
-        if not 0 <= value < upper:
-            raise ValueError(f"{name} out of range: {value} (limit {upper})")
-
-    @classmethod
-    def small(cls) -> "ChipGeometry":
-        """A reduced geometry used in tests and fast examples."""
-        return cls(dies_per_chip=2, planes_per_die=2, blocks_per_plane=32,
-                   wordlines_per_block=16)
-
-
-@dataclass(frozen=True)
-class PageAddress:
-    """Fully qualified physical address of one page within a chip."""
-
-    die: int
-    plane: int
-    block: int
-    page: int
-    page_type: PageType = field(default=PageType.LSB)
-    wordline: int = field(default=0)
-
-    def same_wordline(self, other: "PageAddress") -> bool:
-        """Whether two addresses refer to pages of the same wordline."""
-        return (self.die == other.die and self.plane == other.plane
-                and self.block == other.block
-                and self.wordline == other.wordline)
-
-    def block_key(self) -> tuple:
-        """A hashable identifier of the block containing this page."""
-        return (self.die, self.plane, self.block)
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"die{self.die}/plane{self.plane}/blk{self.block}"
-                f"/pg{self.page}({self.page_type.value})")

@@ -8,7 +8,6 @@ from repro.core.rpt import ReadTimingParameterTable
 from repro.errors import CodewordErrorModel, OperatingCondition
 from repro.errors.timing import ReadTimingErrorModel
 from repro.errors.vth import ThresholdVoltageModel
-from repro.nand.geometry import ChipGeometry
 from repro.nand.timing import TimingParameters
 from repro.ssd.config import SsdConfig
 
@@ -37,11 +36,6 @@ def timing_error_model() -> ReadTimingErrorModel:
 @pytest.fixture(scope="session")
 def timing() -> TimingParameters:
     return TimingParameters()
-
-
-@pytest.fixture(scope="session")
-def small_geometry() -> ChipGeometry:
-    return ChipGeometry.small()
 
 
 @pytest.fixture(scope="session")

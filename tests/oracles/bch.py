@@ -11,9 +11,10 @@ The implementation covers the full pipeline:
 * decoding with syndrome computation, the Berlekamp–Massey algorithm and a
   Chien search.
 
-It is used by the test-suite and examples to validate the bounded-distance
-"capability" abstraction of :class:`repro.ecc.engine.CapabilityEccEngine`;
-the SSD simulator itself uses the capability model for speed.
+The test suite uses it as evidence for the simulator's bounded-distance
+capability rule (a codeword decodes iff its raw bit errors are at most the
+ECC capability, :class:`repro.errors.calibration.EccCalibration`); the
+simulator itself never decodes bits.
 """
 
 from __future__ import annotations
@@ -63,9 +64,6 @@ class GaloisField:
         for power in range(self.order, 2 * self.order):
             self._exp[power] = self._exp[power - self.order]
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def multiply(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -78,26 +76,10 @@ class GaloisField:
             return 0
         return self._exp[(self._log[a] - self._log[b]) % self.order]
 
-    def inverse(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero has no inverse in GF(2^m)")
-        return self._exp[self.order - self._log[a]]
-
-    def power(self, a: int, exponent: int) -> int:
-        if a == 0:
-            return 0 if exponent > 0 else 1
-        return self._exp[(self._log[a] * exponent) % self.order]
-
     def alpha_power(self, exponent: int) -> int:
         """alpha^exponent for the primitive element alpha."""
         return self._exp[exponent % self.order]
 
-    def log(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("log of zero is undefined")
-        return self._log[a]
-
-    # -- polynomial helpers (coefficients low-degree first) --------------------
     def poly_multiply(self, p: Sequence[int], q: Sequence[int]) -> List[int]:
         result = [0] * (len(p) + len(q) - 1)
         for i, a in enumerate(p):

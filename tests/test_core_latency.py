@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.latency import ReadLatencyModel
+from repro.core.policies import policy_suite
+from repro.errors.condition import OperatingCondition
 from repro.nand.geometry import PageType
 from repro.nand.timing import ReadTimingParameters, TimingParameters
 
@@ -93,10 +95,6 @@ class TestAR2:
         expected = (CSB_TR + TAIL) + 1.0 + steps * (reduced_tr + TAIL)
         assert ar2 == pytest.approx(expected)
 
-    def test_ar2_requires_reduced_timing_via_dispatch(self, model):
-        with pytest.raises(ValueError):
-            model.dispatch("ar2", 3, PageType.CSB)
-
 
 class TestEquation5PnAR2:
     def test_pnar2_combines_both_savings(self, model, reduced_timing):
@@ -124,19 +122,28 @@ class TestEquation5PnAR2:
             assert norr < ar2 < baseline
 
 
-class TestDispatchAndRetryLatency:
-    def test_dispatch_names(self, model, reduced_timing):
-        assert model.dispatch("baseline", 2, PageType.LSB).retry_steps == 2
-        assert model.dispatch("norr", 5, PageType.LSB).retry_steps == 0
-        assert (model.dispatch("pnar2", 2, PageType.LSB, reduced_timing).response_us
-                == model.pnar2(2, PageType.LSB, reduced_timing).response_us)
-        with pytest.raises(ValueError):
-            model.dispatch("bogus", 1, PageType.LSB)
+class TestRetryLatency:
+    def test_retry_latency_equations(self):
+        """tRETRY (Equations (3)-(5)) is what retry steps add to a policy's read."""
+        condition = OperatingCondition(pe_cycles=2000, retention_months=12.0)
+        policies = policy_suite(["Baseline", "PR2", "AR2", "PnAR2", "NoRR"])
+        reduced_tr = policies["PnAR2"].reduced_timing_for(condition).sensing_latency_us(
+            PageType.CSB)
 
-    def test_retry_latency_equations(self, model):
-        # Equation (3) vs Equation (4) for N_RR = 5, CSB pages.
-        baseline_retry = model.retry_latency_us(5, PageType.CSB, "baseline")
-        pr2_retry = model.retry_latency_us(5, PageType.CSB, "pr2")
-        assert baseline_retry == pytest.approx(5 * (CSB_TR + TAIL))
-        assert pr2_retry == pytest.approx(5 * CSB_TR + TAIL)
-        assert model.retry_latency_us(0, PageType.CSB) == 0.0
+        def t_retry(name, steps):
+            policy = policies[name]
+            return (policy.read_breakdown(steps, PageType.CSB, condition).response_us
+                    - policy.read_breakdown(0, PageType.CSB, condition).response_us)
+
+        for steps in (1, 5):
+            # Equation (3): N_RR * (tR + tDMA + tECC).
+            assert t_retry("Baseline", steps) == pytest.approx(steps * (CSB_TR + TAIL))
+            # Equation (4): N_RR * tR + tDMA + tECC, less the initial read's
+            # own tDMA + tECC, which the first retry step's CACHE READ hides.
+            assert t_retry("PR2", steps) == pytest.approx(steps * CSB_TR)
+            # AR2 without pipelining: tSET + N_RR * (rho * tR + tDMA + tECC).
+            assert t_retry("AR2", steps) == pytest.approx(1.0 + steps * (reduced_tr + TAIL))
+            # Equation (5): tSET + rho * N_RR * tR + tDMA + tECC.
+            assert t_retry("PnAR2", steps) == pytest.approx(1.0 + steps * reduced_tr + TAIL)
+            assert t_retry("NoRR", steps) == 0.0
+        assert reduced_tr < CSB_TR

@@ -25,7 +25,6 @@ EXAMPLES = {
     "experiment_registry.py": ["--profile", "smoke", "--jobs", "1",
                                "--tag", "characterization"],
     "characterize_chips.py": ["--chips", "2", "--blocks", "1"],
-    "chip_level_read_retry.py": [],
     "fleet_capacity.py": ["--devices", "2", "--requests", "60",
                           "--processes", "1"],
 }

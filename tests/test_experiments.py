@@ -3,10 +3,10 @@
 import pytest
 
 from repro.experiments import EXPERIMENT_NAMES
-from repro.experiments.reporting import ExperimentResult
+from repro.experiments.reporting import DegenerateRunError, ExperimentResult
 from repro.experiments.runner import run_experiment
-from repro.experiments import (fig14, fig15, table1, table2, tail_latency,
-                               wear_dynamics)
+from repro.experiments import (adversarial_scenarios, fig14, fig15, table1,
+                               table2, tail_latency, wear_dynamics)
 
 
 class TestReporting:
@@ -185,3 +185,47 @@ class TestWearDynamicsExperiment:
                                      num_requests=300, processes=2)
         assert parallel.rows == wear_result.rows
         assert parallel.headline == wear_result.headline
+
+
+class TestRunPostconditions:
+    """A run that did not exercise what it measures raises instead of passing."""
+
+    WEAR_ROW = {"workload": "stg_0", "gc_invocations": 4,
+                "write_amplification": 1.7254, "mapping_cache_hit_rate": 0.5189}
+    FAULT_ROW = {"pattern": "hot_cold", "p999_baseline_us": 8189.02,
+                 "p999_faulted_us": 16401.32, "fault_injections": 3,
+                 "faulted_reads": 42, "grown_bad_blocks": 2}
+
+    @staticmethod
+    def _result(*rows):
+        return ExperimentResult(name="run", title="Run", rows=list(rows))
+
+    def test_a_run_without_rows_is_degenerate(self):
+        with pytest.raises(DegenerateRunError, match="no rows"):
+            wear_dynamics.check_live_gc(self._result())
+
+    @pytest.mark.parametrize("column, value", [
+        ("gc_invocations", 0), ("write_amplification", 1.0),
+        ("mapping_cache_hit_rate", 0.0), ("mapping_cache_hit_rate", 1.5)])
+    def test_wear_dynamics_requires_live_gc(self, column, value):
+        healthy = self._result(dict(self.WEAR_ROW))
+        assert wear_dynamics.check_live_gc(healthy) is healthy
+        degenerate = self._result(self.WEAR_ROW, {**self.WEAR_ROW, column: value})
+        with pytest.raises(DegenerateRunError, match=f"row 1: {column}"):
+            wear_dynamics.check_live_gc(degenerate)
+
+    def test_wear_dynamics_needs_gc_in_one_workload_only(self):
+        no_gc = {**self.WEAR_ROW, "workload": "YCSB-A", "gc_invocations": 0,
+                 "write_amplification": 1.0}
+        mixed = self._result(self.WEAR_ROW, no_gc)
+        assert wear_dynamics.check_live_gc(mixed) is mixed
+        with pytest.raises(DegenerateRunError, match="no workload passes"):
+            wear_dynamics.check_live_gc(self._result(no_gc))
+
+    @pytest.mark.parametrize("column", sorted(set(FAULT_ROW) - {"pattern"}))
+    def test_adversarial_scenarios_requires_fired_faults(self, column):
+        healthy = self._result(dict(self.FAULT_ROW))
+        assert adversarial_scenarios.check_faults_fired(healthy) is healthy
+        degenerate = self._result({**self.FAULT_ROW, column: 0})
+        with pytest.raises(DegenerateRunError, match=f"row 0: {column}"):
+            adversarial_scenarios.check_faults_fired(degenerate)

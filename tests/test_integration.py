@@ -5,12 +5,12 @@ from repro import quick_ssd_comparison
 from repro.characterization.platform import VirtualTestPlatform
 from repro.core.rpt import ReadTimingParameterTable
 from repro.errors.condition import OperatingCondition
-from repro.nand.chip import NandChip
-from repro.nand.geometry import ChipGeometry
 from repro.ssd.config import SsdConfig
 from repro.ssd.controller import simulate_policies
 from repro.ssd.metrics import normalized_response_times
 from repro.workloads import catalog_workload
+
+from oracles.chip import ChipGeometry, NandChip
 
 
 class TestQuickComparison:
@@ -29,8 +29,7 @@ class TestChipVersusAnalyticModel:
         chip = NandChip(geometry=ChipGeometry.small(), chip_id=0,
                         codewords_per_read=1, temperature_c=85.0, seed=0)
         address = chip.geometry.make_address(0, 0, 4, 7)
-        chip.set_block_condition(address, pe_cycles=1000, retention_months=6.0,
-                                 programmed=True)
+        chip.set_block_condition(address, pe_cycles=1000, retention_months=6.0)
         chip_result = chip.read_with_retry(address)
         analytic = error_model.walk_retry_table(
             OperatingCondition(1000, 6.0, 85.0), address.page_type)

@@ -1,8 +1,6 @@
-"""Tests for the NAND organization and address arithmetic."""
+"""Tests for the TLC page types."""
 
-import pytest
-
-from repro.nand.geometry import ChipGeometry, PageType
+from repro.nand.geometry import PageType
 
 
 class TestPageType:
@@ -21,80 +19,3 @@ class TestPageType:
     def test_boundary_count_matches_n_sense(self):
         for page_type in PageType:
             assert len(page_type.sensed_boundaries) == page_type.n_sense
-
-
-class TestChipGeometry:
-    def test_default_matches_paper_simulated_chip(self):
-        geometry = ChipGeometry()
-        assert geometry.dies_per_chip == 4
-        assert geometry.planes_per_die == 2
-        assert geometry.blocks_per_plane == 1888
-        assert geometry.pages_per_block == 576
-        assert geometry.page_size_bytes == 16 * 1024
-
-    def test_pages_per_block_is_three_per_wordline(self):
-        geometry = ChipGeometry.small()
-        assert geometry.pages_per_block == geometry.wordlines_per_block * 3
-
-    def test_capacity_is_consistent(self):
-        geometry = ChipGeometry.small()
-        assert geometry.capacity_bytes == (
-            geometry.pages_per_chip * geometry.page_size_bytes)
-
-    def test_page_type_cycles_through_wordline(self):
-        geometry = ChipGeometry.small()
-        assert geometry.page_type_of(0) is PageType.LSB
-        assert geometry.page_type_of(1) is PageType.CSB
-        assert geometry.page_type_of(2) is PageType.MSB
-        assert geometry.page_type_of(3) is PageType.LSB
-
-    def test_wordline_of(self):
-        geometry = ChipGeometry.small()
-        assert geometry.wordline_of(0) == 0
-        assert geometry.wordline_of(2) == 0
-        assert geometry.wordline_of(3) == 1
-
-    def test_make_address_validates_ranges(self):
-        geometry = ChipGeometry.small()
-        with pytest.raises(ValueError):
-            geometry.make_address(geometry.dies_per_chip, 0, 0, 0)
-        with pytest.raises(ValueError):
-            geometry.make_address(0, 0, geometry.blocks_per_plane, 0)
-        with pytest.raises(ValueError):
-            geometry.make_address(0, 0, 0, geometry.pages_per_block)
-
-    def test_flat_index_roundtrip(self):
-        geometry = ChipGeometry.small()
-        for index in (0, 1, 57, geometry.pages_per_chip - 1):
-            address = geometry.address_from_flat(index)
-            assert geometry.flat_page_index(address) == index
-
-    def test_flat_block_index_unique(self):
-        geometry = ChipGeometry.small()
-        indexes = {geometry.flat_block_index(die, plane, block)
-                   for die, plane, block in geometry.iter_block_addresses()}
-        assert len(indexes) == geometry.blocks_per_chip
-
-    def test_invalid_dimensions_rejected(self):
-        with pytest.raises(ValueError):
-            ChipGeometry(dies_per_chip=0)
-        with pytest.raises(ValueError):
-            ChipGeometry(page_size_bytes=1000, codeword_data_bytes=1024)
-
-    def test_codewords_per_page(self):
-        assert ChipGeometry().codewords_per_page == 16
-
-
-class TestPageAddress:
-    def test_same_wordline(self):
-        geometry = ChipGeometry.small()
-        first = geometry.make_address(0, 0, 3, 0)
-        second = geometry.make_address(0, 0, 3, 2)
-        third = geometry.make_address(0, 0, 3, 3)
-        assert first.same_wordline(second)
-        assert not first.same_wordline(third)
-
-    def test_block_key(self):
-        geometry = ChipGeometry.small()
-        address = geometry.make_address(1, 0, 5, 7)
-        assert address.block_key() == (1, 0, 5)

@@ -5,15 +5,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.latency import ReadLatencyModel
-from repro.ecc.bch import BchCode
-from repro.ecc.codeword import PageLayout
 from repro.errors import CodewordErrorModel, OperatingCondition
 from repro.errors.timing import ReadTimingErrorModel, TimingReduction
-from repro.nand.geometry import ChipGeometry, PageType
+from repro.nand.geometry import PageType
 from repro.nand.timing import ReadTimingParameters
 from repro.ssd.engine import EventQueue
 from repro.ssd.write_buffer import WriteBuffer
 from repro.workloads.synthetic import SyntheticWorkload, WorkloadShape
+
+from oracles.bch import BchCode
 
 _MODEL = CodewordErrorModel()
 _TIMING_MODEL = ReadTimingErrorModel()
@@ -29,21 +29,6 @@ conditions = st.builds(
 )
 
 page_types = st.sampled_from(list(PageType))
-
-
-class TestGeometryProperties:
-    @given(st.integers(min_value=0, max_value=2 * 2 * 32 * 48 - 1))
-    def test_flat_index_roundtrip(self, index):
-        geometry = ChipGeometry.small()
-        address = geometry.address_from_flat(index)
-        assert geometry.flat_page_index(address) == index
-
-    @given(st.integers(min_value=0, max_value=2 * 2 * 32 * 48 - 1))
-    def test_page_type_consistent_with_wordline(self, index):
-        geometry = ChipGeometry.small()
-        address = geometry.address_from_flat(index)
-        assert address.page_type is geometry.page_type_of(address.page)
-        assert address.wordline == geometry.wordline_of(address.page)
 
 
 class TestErrorModelProperties:
@@ -129,13 +114,6 @@ class TestEccProperties:
         result = _BCH.decode(corrupted)
         assert result.success
         assert np.array_equal(_BCH.extract_message(result.codeword), message)
-
-    @given(st.integers(min_value=0, max_value=2000))
-    def test_page_layout_split_preserves_total(self, total_errors):
-        layout = PageLayout()
-        split = layout.split_errors(total_errors)
-        assert sum(split) == total_errors
-        assert max(split) - min(split) <= 1
 
 
 class TestSimulatorPrimitivesProperties:
