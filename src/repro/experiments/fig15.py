@@ -50,32 +50,29 @@ def run(workloads: Sequence[str] = None,
     sweep = runner.run(policies=default_registry().names(tag="fig15"),
                        workloads=workloads, conditions=conditions,
                        num_requests=num_requests, seed=seed)
-    grid = sweep.to_grid()
     rows = sweep.rows
 
     def reductions_vs_pso(read_dominant: bool):
         """PSO+PnAR2 response-time reduction relative to PSO per cell."""
         values = []
-        for workload, by_condition in grid.items():
+        for (workload, _, _), cell in sweep.cells.items():
             if WORKLOAD_CATALOG[workload].read_dominant != read_dominant:
                 continue
-            for cell in by_condition.values():
-                pso = cell["PSO"].metrics.mean_response_time_us()
-                combined = cell["PSO+PnAR2"].metrics.mean_response_time_us()
-                if pso > 0:
-                    values.append(1.0 - combined / pso)
+            pso = cell["PSO"].metrics.mean_response_time_us()
+            combined = cell["PSO+PnAR2"].metrics.mean_response_time_us()
+            if pso > 0:
+                values.append(1.0 - combined / pso)
         return values
 
     def ratio_to_norr(policy: str, read_dominant: bool):
         values = []
-        for workload, by_condition in grid.items():
+        for (workload, _, _), cell in sweep.cells.items():
             if WORKLOAD_CATALOG[workload].read_dominant != read_dominant:
                 continue
-            for cell in by_condition.values():
-                norr = cell["NoRR"].metrics.mean_response_time_us()
-                target = cell[policy].metrics.mean_response_time_us()
-                if norr > 0:
-                    values.append(target / norr)
+            norr = cell["NoRR"].metrics.mean_response_time_us()
+            target = cell[policy].metrics.mean_response_time_us()
+            if norr > 0:
+                values.append(target / norr)
         return values
 
     read_gains = reductions_vs_pso(read_dominant=True)

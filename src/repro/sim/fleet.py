@@ -10,13 +10,19 @@ the array sustain under a p99 SLO?".  This module answers both:
   factor, the per-device :class:`~repro.ssd.config.SsdConfig` and operating
   :class:`~repro.sim.spec.Condition` (optionally per device, for
   heterogeneously aged fleets);
-* :class:`FleetRunner` — shards any array-level workload (a
-  :class:`~repro.sim.spec.WorkloadSpec`, a multi-tenant
-  :class:`~repro.workloads.tenants.TenantMix`, or an explicit request list)
-  across per-device simulators via the striping router.  Each worker
-  regenerates the array stream from the spec once per chunk of devices it
-  simulates and splits it in one pass, so nothing is materialized in the
-  parent, per-device host cost does not grow with the fleet size, and
+* :class:`FleetRunner` — shards any array-level workload across
+  per-device simulators via the striping router.  A workload is anything
+  :meth:`Simulation.workload <repro.sim.session.Simulation.workload>`
+  accepts (a catalog name, a :class:`~repro.sim.spec.WorkloadSpec`, a
+  multi-tenant :class:`~repro.workloads.tenants.TenantMix`, a scenario
+  pattern, any ``kind``-tagged dict), coerced by
+  :func:`~repro.workloads.source.as_workload_source` and shipped to the
+  workers in its one serialized form,
+  :func:`~repro.workloads.source.source_to_dict`; an explicit request list
+  is the only other input.  Each worker rebuilds the source and
+  regenerates the array stream once per chunk of devices it simulates and
+  splits it in one pass, so nothing is materialized in the parent,
+  per-device host cost does not grow with the fleet size, and
   ``processes=N`` is bitwise-identical to serial;
 * :class:`FleetResult` — array-level metrics from
   :meth:`~repro.ssd.metrics.LatencyHistogram.merge`: overall and per-tenant
@@ -72,13 +78,16 @@ from repro.ssd.metrics import SimulationMetrics
 from repro.ssd.request import HostRequest
 from repro.ssd.retry_grid import prefill_shared_grid, rpt_fingerprint
 from repro.workloads.router import StripeRouter
-from repro.workloads.source import is_workload_source, source_from_dict, source_to_dict
+from repro.workloads.source import as_workload_source, source_from_dict, source_to_dict
 from repro.workloads.tenants import TenantMix
 
 logger = logging.getLogger("repro.sim.fleet")
 
-#: Any array-level request source the fleet can shard.
-FleetSource = Union[str, WorkloadSpec, TenantMix, Sequence[HostRequest], dict]
+#: Any array-level request source the fleet can shard: whatever
+#: :func:`~repro.workloads.source.as_workload_source` accepts (a catalog
+#: name, a spec or its dict, a ``kind``-tagged dict, any ready source such
+#: as a scenario pattern), or an explicit request list.
+FleetSource = Union[str, dict, WorkloadSpec, TenantMix, Sequence[HostRequest]]
 
 #: Devices dispatched (and checkpointed) per shard unless overridden.
 DEFAULT_SHARD_DEVICES = 64
@@ -86,7 +95,7 @@ DEFAULT_SHARD_DEVICES = 64
 #: Version of the checkpoint payload layout; part of every checkpoint key,
 #: so changing the serialized form orphans old entries instead of
 #: misreading them.
-FLEET_CHECKPOINT_SCHEMA = 1
+FLEET_CHECKPOINT_SCHEMA = 2
 
 #: Checkpoint namespaces (directories under ``<cache root>/checkpoints/``).
 FLEET_SHARD_KIND = "fleet_shard"
@@ -162,59 +171,11 @@ class FleetSpec:
         return cls(**payload)
 
 
-def _source_payload(source: FleetSource, num_requests: Optional[int], seed: Optional[int]) -> dict:
-    """Normalize an array-level request source into a picklable payload."""
-    if isinstance(source, TenantMix):
-        return {"tenant_mix": source.to_dict()}
-    if isinstance(source, dict) and "tenants" in source:
-        return {"tenant_mix": TenantMix.from_dict(source).to_dict()}
-    if isinstance(source, dict) and "kind" in source:
-        # Normalize through the registry so malformed payloads fail here,
-        # in the parent, not inside a pool worker.
-        return {"source": source_to_dict(source_from_dict(source))}
-    if isinstance(source, (str, WorkloadSpec, dict)):
-        spec = WorkloadSpec.coerce(source, num_requests=num_requests, seed=seed)
-        return {"workload": spec.to_dict()}
-    if is_workload_source(source):
-        return {"source": source_to_dict(source)}
-    if isinstance(source, Sequence):
-        return {"requests": list(source)}
-    raise TypeError(
-        f"cannot shard {source!r}; pass a workload name/spec, a TenantMix, "
-        "a WorkloadSource, or a sequence of HostRequest objects"
-    )
-
-
-def _source_stream(payload: dict, spec: FleetSpec) -> Iterable[HostRequest]:
-    """Rebuild the array-level stream a payload describes (in a worker)."""
-    pages = spec.array_logical_pages
-    if "workload" in payload:
-        workload = WorkloadSpec.from_dict(payload["workload"])
-        return workload.iter_requests(spec.config, footprint_pages=pages)
-    if "source" in payload:
-        source = source_from_dict(payload["source"])
-        return source.iter_requests(spec.config, footprint_pages=pages)
-    mix = TenantMix.from_dict(payload["tenant_mix"])
-    return mix.iter_requests(spec.config, footprint_pages=pages)
-
-
-def _source_label(payload: dict) -> str:
-    if "workload" in payload:
-        return WorkloadSpec.from_dict(payload["workload"]).label
-    if "source" in payload:
-        return source_from_dict(payload["source"]).label
-    if "tenant_mix" in payload:
-        return TenantMix.from_dict(payload["tenant_mix"]).label
-    return f"explicit-{len(payload['requests'])}"
-
-
-def _payload_tracks_tenants(payload: dict) -> bool:
-    if "tenant_mix" in payload:
-        return True
-    if "source" in payload:
-        source = source_from_dict(payload["source"])
-        return bool(getattr(source, "tracks_tenants", False))
-    return False
+def _coerce_source(source: FleetSource, num_requests: Optional[int], seed: Optional[int]):
+    """The workload source behind ``source``; ``None`` for an explicit request list."""
+    if isinstance(source, Sequence) and not isinstance(source, str):
+        return None
+    return as_workload_source(source, num_requests=num_requests, seed=seed)
 
 
 def _requests_digest(requests: Sequence[HostRequest]) -> str:
@@ -236,20 +197,23 @@ def _run_fleet_device(payload: dict) -> List[Tuple[int, SimulationResult]]:
     """Simulate one contiguous chunk of a shard's devices — a pure function of its payload.
 
     The chunk makes one pass over the array-level stream (regenerated from
-    its spec, or the explicit list the parent already split) and then runs
-    its devices in ascending id order.  The serial and parallel paths both
-    execute exactly this function, which is what makes ``processes=N``
-    bitwise-identical to a serial run.
+    its serialized source, or the explicit list the parent already split)
+    and then runs its devices in ascending id order.  The serial and
+    parallel paths both execute exactly this function, which is what makes
+    ``processes=N`` bitwise-identical to a serial run.
     """
     spec = FleetSpec.from_dict(payload["fleet"])
     devices = range(*payload["devices"])
     if "device_requests" in payload:
         buffers = payload["device_requests"]
+        track_tenants = False
     else:
-        buffers = spec.router().partition(_source_stream(payload, spec), devices)
+        source = source_from_dict(payload["source"])
+        stream = source.iter_requests(spec.config, footprint_pages=spec.array_logical_pages)
+        buffers = spec.router().partition(stream, devices)
+        track_tenants = getattr(source, "tracks_tenants", False)
     rpt = payload.get("rpt") or _default_rpt()
     lookahead = payload.get("lookahead") or DEFAULT_LOOKAHEAD_REQUESTS
-    track_tenants = _payload_tracks_tenants(payload)
     results = []
     for device, requests in zip(devices, buffers):
         condition = spec.device_condition(device)
@@ -520,11 +484,18 @@ class FleetRunner:
     ) -> FleetRunResult:
         """Shard ``source`` across the fleet for every policy.
 
+        ``source`` is anything :meth:`Simulation.workload
+        <repro.sim.session.Simulation.workload>` accepts — coerced through
+        :func:`~repro.workloads.source.as_workload_source` (``num_requests``
+        and ``seed`` apply to the spec-building forms) and carried to the
+        workers in its one serialized form, :func:`source_to_dict` — or an
+        explicit request list.
+
         Devices go through the worker pool in bounded shards, and each
         shard in one contiguous chunk per worker (the whole shard when
-        ``processes=1``).  A chunk regenerates the array-level stream from
-        its spec/mix payload once, splits every request once, keeps only
-        its own devices' sub-requests and then simulates those devices in
+        ``processes=1``).  A chunk rebuilds the source once, regenerates the
+        array-level stream, splits every request once, keeps only its own
+        devices' sub-requests and then simulates those devices in
         ascending id order.  The parent never materializes a declarative
         trace, and worker results are pure functions of their payloads
         (serial == parallel, bitwise).  Explicit request lists — already
@@ -539,23 +510,24 @@ class FleetRunner:
         policy_names = tuple(self._registry.canonical_name(name) for name in policies)
         if not policy_names:
             raise ValueError("no policies given")
-        source_payload = _source_payload(source, num_requests, seed)
-        label = _source_label(source_payload)
+        workload = _coerce_source(source, num_requests, seed)
         fault_plan = FaultPlan.coerce(faults) if faults is not None else None
-        if "requests" in source_payload:
+        if workload is None:
             # Keep the single-device contract ("pre-materialized sequences
             # are sorted up front"), then split the list once so payloads
             # carry 1/N of the trace instead of devices x policies copies.
-            ordered = sorted(source_payload.pop("requests"), key=lambda request: request.arrival_us)
+            ordered = sorted(source, key=lambda request: request.arrival_us)
             shards = self.spec.router().partition(ordered, range(self.spec.devices))
+            label = f"explicit-{len(ordered)}"
+            source_dict = None
+            tenant_names = None
         else:
             ordered = None
             shards = None
+            label = workload.label
+            source_dict = source_to_dict(workload)
+            tenant_names = workload.tenant_names() if hasattr(workload, "tenant_names") else None
         fleet_dict = self.spec.to_dict()
-        manifest_source = {key: value for key, value in source_payload.items() if key != "requests"}
-        tenant_names = None
-        if "tenant_mix" in source_payload:
-            tenant_names = TenantMix.from_dict(source_payload["tenant_mix"]).tenant_names()
         results = {
             name: FleetResult(
                 spec=self.spec, policy=name, workload_label=label, tenant_names=tenant_names
@@ -567,7 +539,7 @@ class FleetRunner:
             base_params = {
                 "schema": FLEET_CHECKPOINT_SCHEMA,
                 "fleet": fleet_dict,
-                "source": manifest_source,
+                "source": source_dict,
                 "lookahead": lookahead,
                 "faults": fault_plan.to_dict() if fault_plan else None,
                 "rpt": rpt_fingerprint(self.rpt) if self.rpt is not None else None,
@@ -583,8 +555,8 @@ class FleetRunner:
             for policy in policy_names:
                 collector = results[policy]
                 common = dict(
-                    source_payload,
                     fleet=fleet_dict,
+                    source=source_dict,
                     policy=policy,
                     rpt=self.rpt,
                     lookahead=lookahead,
@@ -653,7 +625,7 @@ class FleetRunner:
                     )
         manifest = {
             "fleet": fleet_dict,
-            "source": manifest_source,
+            "source": source_dict or {"explicit_requests": len(ordered)},
             "policies": list(policy_names),
             "shard_devices": self.shard_devices,
         }
@@ -784,7 +756,7 @@ class SloCapacitySearch:
         return {
             "schema": FLEET_CHECKPOINT_SCHEMA,
             "fleet": runner.spec.to_dict(),
-            "source": source.to_dict(),
+            "source": source_to_dict(source),
             "policy": policy,
             "target_p99_us": self.target_p99_us,
             "tolerance": self.tolerance,
@@ -796,21 +768,26 @@ class SloCapacitySearch:
 
     def find(
         self,
-        source: Union[str, WorkloadSpec, TenantMix, dict],
+        source: FleetSource,
         policy: str = "Baseline",
         num_requests: Optional[int] = None,
         seed: Optional[int] = None,
         start_rate_rps: Optional[float] = None,
     ) -> CapacityResult:
-        """Run the search for one policy and return its capacity."""
-        if isinstance(source, str) or isinstance(source, dict):
-            source = (
-                TenantMix.from_dict(source)
-                if isinstance(source, dict) and "tenants" in source
-                else WorkloadSpec.coerce(source, num_requests=num_requests, seed=seed)
+        """Run the search for one policy and return its capacity.
+
+        ``source`` takes every form :meth:`FleetRunner.run` does, but the
+        search rescales its arrival rate, so it must resolve to a
+        :class:`~repro.sim.spec.WorkloadSpec` or a
+        :class:`~repro.workloads.tenants.TenantMix`.
+        """
+        source = _coerce_source(source, num_requests, seed)
+        if not isinstance(source, (WorkloadSpec, TenantMix)):
+            kind = "an explicit request list" if source is None else type(source).__name__
+            raise ValueError(
+                "the capacity search bisects the arrival rate; it needs a "
+                f"rate-scalable source (a workload spec or tenant mix), not {kind}"
             )
-        elif isinstance(source, WorkloadSpec):
-            source = WorkloadSpec.coerce(source, num_requests=num_requests, seed=seed)
         canonical = self.runner._registry.canonical_name(policy)
         checkpoint = self.runner.checkpoint
         trail_params = None

@@ -503,11 +503,6 @@ class Simulation:
                 )
             if len(policy_names) != 1:
                 raise ValueError("slo() capacity search needs exactly one policy")
-            if self._requests is not None:
-                raise ValueError(
-                    "slo() bisects the arrival rate; it needs a workload "
-                    "spec or tenant mix, not an explicit request list"
-                )
             params = self._slo_params
             search = SloCapacitySearch(
                 runner,
@@ -606,25 +601,7 @@ class Simulation:
             return self._run_closed_loop()
         if self._fleet_params is not None or self._slo_params is not None:
             return self._run_fleet()
-        if getattr(self._source, "tracks_tenants", False):
-            return self._run_tenant_device()
         return self._run_device()
-
-    def _run_tenant_device(self) -> RunResult:
-        """A tenant-tracking source on a single device: stream the merge."""
-        mix = self._source
-        lookahead = self._lookahead or DEFAULT_LOOKAHEAD_REQUESTS
-        results = self._run_policies(
-            lambda simulator: simulator.run(mix.iter_requests(self._config), lookahead=lookahead),
-            track_tenants=True,
-        )
-        return RunResult(
-            config=self._config,
-            condition=self._condition,
-            results=results,
-            workload=None,
-            manifest=self.manifest(),
-        )
 
     def _run_device(self) -> RunResult:
         previous_stream = None
@@ -648,7 +625,9 @@ class Simulation:
             previous_stream = stream
             return simulator.run(stream, lookahead=self._lookahead or DEFAULT_LOOKAHEAD_REQUESTS)
 
-        results = self._run_policies(run)
+        results = self._run_policies(
+            run, track_tenants=getattr(self._source, "tracks_tenants", False)
+        )
         if self._stream is not None and len(results) > 1:
             # Every policy replays the same stream, so the completed-request
             # counts must agree; a mismatch means the factory shared one

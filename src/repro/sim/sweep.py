@@ -252,13 +252,6 @@ class SweepResult:
             if all(row.get(key) == value for key, value in criteria.items())
         ]
 
-    def to_grid(self) -> dict:
-        """Legacy nested layout: ``grid[workload][(pec, months)][policy]``."""
-        grid: dict = {}
-        for (workload, pec, months), cell in self.cells.items():
-            grid.setdefault(workload, {})[(pec, months)] = cell
-        return grid
-
     # -- rendering ------------------------------------------------------------
     def table(self, max_rows: Optional[int] = None) -> str:
         """Fixed-width text table of the rows."""

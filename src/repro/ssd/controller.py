@@ -126,7 +126,6 @@ class SsdSimulator:
     def __init__(self, config: SsdConfig = None,
                  policy: Union[str, ReadRetryPolicy] = "Baseline",
                  rpt: ReadTimingParameterTable = None,
-                 record_samples: bool = False,
                  device_id: int = 0,
                  track_tenants: bool = False):
         self.config = config or SsdConfig.scaled()
@@ -159,7 +158,7 @@ class SsdSimulator:
             self.gc = GarbageCollector(self.ftl)
         self.write_buffer = WriteBuffer(self.config.write_buffer_pages)
         self.backend = FlashBackend(self.config, rpt=shared_rpt)
-        self.metrics = SimulationMetrics(record_samples=record_samples)
+        self.metrics = SimulationMetrics()
         self.schedulers: Dict[tuple, DieScheduler] = {}
         for channel in range(self.config.channels):
             for die in range(self.config.dies_per_channel):
@@ -826,52 +825,3 @@ def aged_simulator(policy: Union[str, ReadRetryPolicy],
     if faults is not None:
         simulator.install_faults(faults)
     return simulator
-
-
-RequestSource = Union[Iterable[HostRequest],
-                      Callable[[], Iterable[HostRequest]]]
-
-
-def _policy_streams(requests: RequestSource) -> Callable[[], Iterable[HostRequest]]:
-    """Normalize a request source into a per-policy stream factory.
-
-    Sequences are replayed directly — the simulator no longer mutates
-    caller-owned requests, so the same objects can serve every policy.
-    A bare iterator/generator can only be consumed once, so it is drained
-    into a list first; pass a zero-argument factory instead to keep a
-    multi-policy comparison fully streaming.
-    """
-    if callable(requests):
-        return requests
-    if isinstance(requests, Sequence):
-        return lambda: requests
-    materialized = list(requests)
-    return lambda: materialized
-
-
-def simulate_policies(policies: Iterable[Union[str, ReadRetryPolicy]],
-                      requests: RequestSource,
-                      config: SsdConfig = None,
-                      pe_cycles: int = 0,
-                      retention_months: float = 0.0,
-                      rpt: ReadTimingParameterTable = None
-                      ) -> Dict[str, SimulationResult]:
-    """Run the same workload against several policies.
-
-    :param requests: the request stream — a sequence of
-        :class:`HostRequest` objects (replayed as-is for every policy; the
-        simulator does not mutate them), a zero-argument factory returning a
-        fresh iterable per policy (the fully streaming option for large
-        traces), or a one-shot iterator (materialized once, then replayed).
-    """
-    results: Dict[str, SimulationResult] = {}
-    stream_factory = _policy_streams(requests)
-    shared_rpt = rpt or ReadTimingParameterTable.default()
-    for policy in policies:
-        result = aged_simulator(policy, config, shared_rpt,
-                                pe_cycles=pe_cycles,
-                                retention_months=retention_months,
-                                fill_fraction=DEFAULT_FILL_FRACTION
-                                ).run(stream_factory())
-        results[result.policy_name] = result
-    return results

@@ -19,16 +19,14 @@ Exactness guarantees:
   :data:`SUBBUCKETS_PER_OCTAVE` = 64 sub-buckets per power of two, at most
   about 1.6%.
 
-Raw per-request samples are kept only when a collector is created with
-``record_samples=True`` (a debug mode for tests and one-off analysis); the
-list-returning compatibility properties raise otherwise, so nothing can
-silently depend on unbounded memory again.
+No raw per-request samples are kept, so nothing can depend on unbounded
+memory.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 #: Sub-buckets per power of two.  The relative width of one bucket is
 #: ``1/SUBBUCKETS_PER_OCTAVE`` of its octave, bounding the percentile
@@ -40,8 +38,8 @@ _SUB_PER_OCTAVE_X2 = 2 * SUBBUCKETS_PER_OCTAVE
 #: buffered write hit) share bucket 0; latencies above the cap (~13 days)
 #: clamp into the last bucket.  51 octaves x 64 sub-buckets + the floor
 #: bucket = 3265 possible buckets, stored sparsely.
-MIN_TRACKED_US = 2.0 ** -10
-MAX_TRACKED_US = 2.0 ** 40
+MIN_TRACKED_US = 2.0**-10
+MAX_TRACKED_US = 2.0**40
 _EXP_MIN = math.frexp(MIN_TRACKED_US)[1]  # -9
 _EXP_MAX = math.frexp(MAX_TRACKED_US)[1]  # 41
 _LAST_BUCKET = (_EXP_MAX - _EXP_MIN + 1) * SUBBUCKETS_PER_OCTAVE
@@ -83,8 +81,7 @@ class LatencyHistogram:
     primitive sweep aggregation and per-policy tail reports build on.
     """
 
-    __slots__ = ("_counts", "count", "_sum", "_compensation", "min_us",
-                 "max_us")
+    __slots__ = ("_counts", "count", "_sum", "_compensation", "min_us", "max_us")
 
     def __init__(self) -> None:
         self._counts: Dict[int, int] = {}
@@ -206,8 +203,7 @@ class LatencyHistogram:
     def to_dict(self) -> dict:
         """JSON-able snapshot (bucket counts keyed by index)."""
         return {
-            "counts": {str(index): count
-                       for index, count in sorted(self._counts.items())},
+            "counts": {str(index): count for index, count in sorted(self._counts.items())},
             "count": self.count,
             "sum_us": self.total_us,
             "min_us": self.min_us if self.count else None,
@@ -237,8 +233,7 @@ class LatencyHistogram:
     def from_state(cls, state: dict) -> "LatencyHistogram":
         """Rebuild a histogram bitwise-identical to ``to_state``'s source."""
         histogram = cls()
-        histogram._counts = {int(index): int(count)
-                             for index, count in state["counts"]}
+        histogram._counts = {int(index): int(count) for index, count in state["counts"]}
         histogram.count = int(state["count"])
         histogram._sum = float(state["sum"])
         histogram._compensation = float(state["compensation"])
@@ -250,15 +245,18 @@ class LatencyHistogram:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LatencyHistogram):
             return NotImplemented
-        return (self._counts == other._counts and self.count == other.count
-                and self.total_us == other.total_us
-                and (self.count == 0
-                     or (self.min_us == other.min_us
-                         and self.max_us == other.max_us)))
+        return (
+            self._counts == other._counts
+            and self.count == other.count
+            and self.total_us == other.total_us
+            and (self.count == 0 or (self.min_us == other.min_us and self.max_us == other.max_us))
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"LatencyHistogram(count={self.count}, "
-                f"mean={self.mean():.2f}us, buckets={self.bucket_count})")
+        return (
+            f"LatencyHistogram(count={self.count}, "
+            f"mean={self.mean():.2f}us, buckets={self.bucket_count})"
+        )
 
     # -- pickling (slots) -----------------------------------------------------
     def __getstate__(self) -> dict:
@@ -274,10 +272,7 @@ class SimulationMetrics:
 
     Response times are held in two :class:`LatencyHistogram` instances
     (reads and writes) and retry steps in an exact per-step counter, so the
-    collector's memory does not grow with the trace.  Pass
-    ``record_samples=True`` to additionally keep the raw per-request lists
-    (``read_response_times_us`` and friends) for debugging; without it those
-    compatibility properties raise.
+    collector's memory does not grow with the trace.
     """
 
     #: Every scalar counter :meth:`merge` folds by summation — fleet and
@@ -311,8 +306,7 @@ class SimulationMetrics:
         "fault_remapped_pages",
     )
 
-    def __init__(self, record_samples: bool = False):
-        self.record_samples = record_samples
+    def __init__(self) -> None:
         self.read_latency = LatencyHistogram()
         self.write_latency = LatencyHistogram()
         #: Per-tenant response-time histograms, keyed by the requests'
@@ -360,14 +354,11 @@ class SimulationMetrics:
         self.faulted_reads = 0
         self.grown_bad_blocks = 0
         self.fault_remapped_pages = 0
-        self._read_samples: List[float] = []
-        self._write_samples: List[float] = []
-        self._retry_step_samples: List[int] = []
 
     # -- recording ------------------------------------------------------------
-    def record_read(self, response_us: float,
-                    retry_steps: Optional[int] = None,
-                    tenant: Optional[int] = None) -> None:
+    def record_read(
+        self, response_us: float, retry_steps: Optional[int] = None, tenant: Optional[int] = None
+    ) -> None:
         """Record one completed host read request.
 
         ``retry_steps`` additionally records one page-read retry count —
@@ -381,8 +372,6 @@ class SimulationMetrics:
         self.host_reads += 1
         if tenant is not None:
             self._tenant_histogram(tenant).record(response_us)
-        if self.record_samples:
-            self._read_samples.append(response_us)
         if retry_steps is not None:
             self.record_retry_steps(retry_steps)
 
@@ -392,19 +381,14 @@ class SimulationMetrics:
             raise ValueError("steps must be non-negative")
         self.retry_step_counts[steps] = self.retry_step_counts.get(steps, 0) + 1
         self.pages_read += 1
-        if self.record_samples:
-            self._retry_step_samples.append(steps)
 
-    def record_write(self, response_us: float,
-                     tenant: Optional[int] = None) -> None:
+    def record_write(self, response_us: float, tenant: Optional[int] = None) -> None:
         if response_us < 0:
             raise ValueError("response_us must be non-negative")
         self.write_latency.record(response_us)
         self.host_writes += 1
         if tenant is not None:
             self._tenant_histogram(tenant).record(response_us)
-        if self.record_samples:
-            self._write_samples.append(response_us)
 
     def _tenant_histogram(self, tenant: int) -> LatencyHistogram:
         histogram = self.tenant_latency.get(tenant)
@@ -417,33 +401,19 @@ class SimulationMetrics:
 
     def merge(self, other: "SimulationMetrics") -> "SimulationMetrics":
         """Fold another collector into this one (for sweep aggregation)."""
-        if self.record_samples and not other.record_samples:
-            # Folding sample-free counts into a sample-keeping collector
-            # would leave the debug lists silently covering a fraction of
-            # the merged totals.
-            raise ValueError(
-                "cannot merge a collector without record_samples into one "
-                "that keeps raw samples; merge into a default collector or "
-                "record both sides with record_samples=True")
         self.read_latency.merge(other.read_latency)
         self.write_latency.merge(other.write_latency)
         for tenant, histogram in other.tenant_latency.items():
             self._tenant_histogram(tenant).merge(histogram)
         for steps, count in other.retry_step_counts.items():
-            self.retry_step_counts[steps] = (
-                self.retry_step_counts.get(steps, 0) + count)
+            self.retry_step_counts[steps] = self.retry_step_counts.get(steps, 0) + count
         for die_key, busy in other.die_busy_us.items():
             self.record_die_busy(die_key, busy)
         for counter in self.COUNTER_FIELDS:
-            setattr(self, counter,
-                    getattr(self, counter) + getattr(other, counter))
+            setattr(self, counter, getattr(self, counter) + getattr(other, counter))
         # Summed, matching the summed die_busy_us, so die_utilization() of a
         # merged collector is the time-weighted average across the runs.
         self.simulated_time_us += other.simulated_time_us
-        if self.record_samples and other.record_samples:
-            self._read_samples.extend(other._read_samples)
-            self._write_samples.extend(other._write_samples)
-            self._retry_step_samples.extend(other._retry_step_samples)
         return self
 
     # -- exact checkpoint round-trip ------------------------------------------
@@ -453,27 +423,19 @@ class SimulationMetrics:
         Every dict is serialized in *insertion order* (``die_utilization``
         sums ``die_busy_us`` values and :meth:`merge` folds dicts in
         iteration order, so restoring them sorted would change float
-        summation order).  Raw debug samples are deliberately not carried:
-        checkpointing is a production-path feature and fleet workers never
-        record samples.
+        summation order).
         """
-        if self.record_samples:
-            raise ValueError(
-                "collectors with record_samples=True hold unbounded raw "
-                "sample lists; only default (fixed-memory) collectors are "
-                "checkpointable")
         return {
             "read_latency": self.read_latency.to_state(),
             "write_latency": self.write_latency.to_state(),
-            "tenant_latency": [[tenant, histogram.to_state()]
-                               for tenant, histogram
-                               in self.tenant_latency.items()],
-            "retry_step_counts": [[steps, count] for steps, count
-                                  in self.retry_step_counts.items()],
-            "die_busy_us": [[list(die_key), busy] for die_key, busy
-                            in self.die_busy_us.items()],
-            "counters": {name: getattr(self, name)
-                         for name in self.COUNTER_FIELDS},
+            "tenant_latency": [
+                [tenant, histogram.to_state()] for tenant, histogram in self.tenant_latency.items()
+            ],
+            "retry_step_counts": [
+                [steps, count] for steps, count in self.retry_step_counts.items()
+            ],
+            "die_busy_us": [[list(die_key), busy] for die_key, busy in self.die_busy_us.items()],
+            "counters": {name: getattr(self, name) for name in self.COUNTER_FIELDS},
             "simulated_time_us": self.simulated_time_us,
         }
 
@@ -481,44 +443,22 @@ class SimulationMetrics:
     def from_state(cls, state: dict) -> "SimulationMetrics":
         """Rebuild a collector bitwise-identical to ``to_state``'s source."""
         metrics = cls()
-        metrics.read_latency = LatencyHistogram.from_state(
-            state["read_latency"])
-        metrics.write_latency = LatencyHistogram.from_state(
-            state["write_latency"])
+        metrics.read_latency = LatencyHistogram.from_state(state["read_latency"])
+        metrics.write_latency = LatencyHistogram.from_state(state["write_latency"])
         metrics.tenant_latency = {
             int(tenant): LatencyHistogram.from_state(histogram)
-            for tenant, histogram in state["tenant_latency"]}
-        metrics.retry_step_counts = {int(steps): int(count)
-                                     for steps, count
-                                     in state["retry_step_counts"]}
-        metrics.die_busy_us = {tuple(die_key): float(busy)
-                               for die_key, busy in state["die_busy_us"]}
+            for tenant, histogram in state["tenant_latency"]
+        }
+        metrics.retry_step_counts = {
+            int(steps): int(count) for steps, count in state["retry_step_counts"]
+        }
+        metrics.die_busy_us = {
+            tuple(die_key): float(busy) for die_key, busy in state["die_busy_us"]
+        }
         for name in cls.COUNTER_FIELDS:
             setattr(metrics, name, int(state["counters"][name]))
         metrics.simulated_time_us = float(state["simulated_time_us"])
         return metrics
-
-    # -- sample compatibility (debug mode only) -------------------------------
-    def _samples(self, name: str, samples: List) -> List:
-        if not self.record_samples:
-            raise RuntimeError(
-                f"{name} keeps raw per-request samples only when the metrics "
-                "collector is created with record_samples=True (a debug "
-                "mode); the default collector records fixed-memory "
-                "histograms — use mean/percentile/summary instead")
-        return samples
-
-    @property
-    def read_response_times_us(self) -> List[float]:
-        return self._samples("read_response_times_us", self._read_samples)
-
-    @property
-    def write_response_times_us(self) -> List[float]:
-        return self._samples("write_response_times_us", self._write_samples)
-
-    @property
-    def retry_steps_per_read(self) -> List[int]:
-        return self._samples("retry_steps_per_read", self._retry_step_samples)
 
     # -- aggregate views ------------------------------------------------------
     def latency(self, kind: str = "all") -> LatencyHistogram:
@@ -542,12 +482,10 @@ class SimulationMetrics:
             count = self.read_latency.count + self.write_latency.count
             if not count:
                 return 0.0
-            return (self.read_latency.total_us
-                    + self.write_latency.total_us) / count
+            return (self.read_latency.total_us + self.write_latency.total_us) / count
         return self.latency(kind).mean()
 
-    def percentile_response_time_us(self, percentile: float,
-                                    kind: str = "all") -> float:
+    def percentile_response_time_us(self, percentile: float, kind: str = "all") -> float:
         return self.latency(kind).percentile(percentile)
 
     def p99_response_time_us(self, kind: str = "all") -> float:
@@ -563,8 +501,7 @@ class SimulationMetrics:
     def mean_retry_steps(self) -> float:
         if not self.pages_read:
             return 0.0
-        total = sum(steps * count
-                    for steps, count in self.retry_step_counts.items())
+        total = sum(steps * count for steps, count in self.retry_step_counts.items())
         return total / self.pages_read
 
     def die_utilization(self) -> float:
@@ -633,9 +570,9 @@ class SimulationMetrics:
         }
 
 
-def normalized_response_times(results: Dict[str, "SimulationMetrics"],
-                              baseline: str = "Baseline",
-                              kind: str = "all") -> Dict[str, float]:
+def normalized_response_times(
+    results: Dict[str, "SimulationMetrics"], baseline: str = "Baseline", kind: str = "all"
+) -> Dict[str, float]:
     """Normalize mean response times to a baseline configuration.
 
     This is the y-axis of Figures 14 and 15 (lower is better, Baseline = 1).
@@ -645,12 +582,14 @@ def normalized_response_times(results: Dict[str, "SimulationMetrics"],
     reference = results[baseline].mean_response_time_us(kind)
     if reference <= 0:
         raise ValueError("baseline mean response time is zero")
-    return {name: metrics.mean_response_time_us(kind) / reference
-            for name, metrics in results.items()}
+    return {
+        name: metrics.mean_response_time_us(kind) / reference for name, metrics in results.items()
+    }
 
 
-def improvement_over(results: Dict[str, "SimulationMetrics"], target: str,
-                     reference: str, kind: str = "all") -> float:
+def improvement_over(
+    results: Dict[str, "SimulationMetrics"], target: str, reference: str, kind: str = "all"
+) -> float:
     """Fractional response-time reduction of ``target`` relative to ``reference``."""
     ref = results[reference].mean_response_time_us(kind)
     tgt = results[target].mean_response_time_us(kind)

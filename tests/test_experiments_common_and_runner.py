@@ -36,11 +36,9 @@ class TestSweepGrid:
         return runner.run(policies=("Baseline", "NoRR"), workloads=("usr_1",),
                           conditions=((1000, 6.0),), num_requests=60)
 
-    def test_grid_structure(self, sweep):
-        grid = sweep.to_grid()
-        assert set(grid) == {"usr_1"}
-        assert set(grid["usr_1"]) == {(1000, 6.0)}
-        assert set(grid["usr_1"][(1000, 6.0)]) == {"Baseline", "NoRR"}
+    def test_cell_structure(self, sweep):
+        assert list(sweep.cells) == [("usr_1", 1000, 6.0)]
+        assert set(sweep.cell("usr_1", 1000, 6.0)) == {"Baseline", "NoRR"}
 
     def test_normalized_rows(self, sweep):
         rows = sweep.rows

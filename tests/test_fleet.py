@@ -13,6 +13,8 @@ from repro.sim.spec import Condition, WorkloadSpec
 from repro.ssd.config import SsdConfig
 from repro.ssd.request import HostRequest, RequestKind
 from repro.workloads.router import StripeRouter
+from repro.workloads.scenarios import HotColdZone
+from repro.workloads.source import as_workload_source, source_to_dict
 from repro.workloads.tenants import TenantMix
 
 CONFIG = SsdConfig.tiny()
@@ -22,6 +24,23 @@ AGED = Condition(1000, 6.0)
 def _spec(n=120, seed=3, **kwargs):
     return WorkloadSpec(name="usr_1", num_requests=n, seed=seed,
                         mean_interarrival_us=700.0, **kwargs)
+
+
+def _read(arrival_us, lpn):
+    return HostRequest(arrival_us=arrival_us, kind=RequestKind.READ,
+                       start_lpn=lpn, page_count=1)
+
+
+#: Every source form a fleet run accepts, with the run() overrides that
+#: complete it (a bare catalog name needs a request count).
+SOURCE_FORMS = {
+    "catalog_name": ("usr_1", {"num_requests": 80, "seed": 3}),
+    "workload_spec": (_spec(80), {}),
+    "tenant_mix": (TenantMix(tenants=(_spec(40, seed=1), _spec(40, seed=2)),
+                             names=("kv", "log")), {}),
+    "scenario_pattern": (HotColdZone(num_requests=80, seed=3,
+                                     mean_interarrival_us=700.0), {}),
+}
 
 
 # -- StripeRouter --------------------------------------------------------------
@@ -299,10 +318,21 @@ class TestFleetRunner:
         fresh, aged = result.result.device_rows()
         assert aged["mean_response_us"] > fresh["mean_response_us"]
 
+    @pytest.mark.parametrize("form", sorted(SOURCE_FORMS))
+    def test_source_and_its_dict_form_run_identically(self, form):
+        source, overrides = SOURCE_FORMS[form]
+        serialized = source_to_dict(as_workload_source(source, **overrides))
+        runner = FleetRunner(FleetSpec(devices=2, config=CONFIG,
+                                       condition=AGED))
+        direct = runner.run(source, policies="PnAR2", **overrides)
+        from_dict = runner.run(serialized, policies="PnAR2")
+        assert direct.rows() == from_dict.rows()
+        assert direct.result.summary() == from_dict.result.summary()
+        assert direct.manifest["source"] == serialized
+        assert from_dict.manifest["source"] == serialized
+
     def test_explicit_request_list_source(self):
-        requests = [HostRequest(arrival_us=i * 500.0, kind=RequestKind.READ,
-                                start_lpn=i * 8, page_count=1)
-                    for i in range(40)]
+        requests = [_read(i * 500.0, i * 8) for i in range(40)]
         fleet_spec = FleetSpec(devices=2, config=CONFIG)
         result = FleetRunner(fleet_spec).run(requests, policies="Baseline")
         merged = result.result.merged
@@ -400,6 +430,30 @@ class TestCapacitySearch:
         assert isinstance(result, CapacityResult)
         assert result.policy == "PnAR2"
 
+    def test_find_accepts_the_kind_tagged_dict(self):
+        search = SloCapacitySearch(self._runner(), target_p99_us=20_000.0,
+                                   tolerance=0.15, max_probes=4)
+        direct = search.find(_spec(80), policy="PnAR2")
+        tagged = search.find(source_to_dict(_spec(80)), policy="PnAR2")
+        assert tagged.probe_rows() == direct.probe_rows()
+        assert tagged.summary() == direct.summary()
+
+    @pytest.mark.parametrize("source", [
+        HotColdZone(num_requests=40),
+        [_read(i * 500.0, i) for i in range(10)],
+    ], ids=["scenario_pattern", "explicit_list"])
+    def test_find_rejects_sources_without_a_rate(self, source):
+        search = SloCapacitySearch(self._runner(), target_p99_us=20_000.0)
+        with pytest.raises(ValueError, match="rate-scalable"):
+            search.find(source)
+
+    def test_session_slo_rejects_an_explicit_list(self):
+        simulation = (Simulation(CONFIG).policy("Baseline")
+                      .requests([_read(i * 500.0, i) for i in range(10)])
+                      .slo(p99_us=1000.0))
+        with pytest.raises(ValueError, match="explicit request list"):
+            simulation.run()
+
     def test_slo_requires_single_policy(self):
         simulation = (Simulation(CONFIG).policies("Baseline", "PnAR2")
                       .workload("usr_1", n=40).slo(p99_us=1000.0))
@@ -469,3 +523,5 @@ class TestSessionFleet:
         total = sum(histogram.count
                     for histogram in metrics.tenant_latency.values())
         assert total == metrics.host_reads + metrics.host_writes
+        # A tenant run reports its mix like any other source run.
+        assert isinstance(run.workload, TenantMix)

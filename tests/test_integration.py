@@ -6,8 +6,7 @@ from repro.characterization.platform import VirtualTestPlatform
 from repro.core.rpt import ReadTimingParameterTable
 from repro.errors.condition import OperatingCondition
 from repro.ssd.config import SsdConfig
-from repro.ssd.controller import simulate_policies
-from repro.ssd.metrics import normalized_response_times
+from repro.sim import Simulation
 from repro.workloads import catalog_workload
 
 from oracles.chip import ChipGeometry, NandChip
@@ -53,11 +52,13 @@ class TestCharacterizationFeedsTheSimulator:
             return catalog_workload("mds_1", footprint, seed=9,
                                     mean_interarrival_us=800.0).generate(120)
 
-        results = simulate_policies(["Baseline", "PnAR2", "NoRR"], requests,
-                                    config=config, pe_cycles=2000,
-                                    retention_months=12.0, rpt=rpt)
-        normalized = normalized_response_times(
-            {name: result.metrics for name, result in results.items()})
+        normalized = (Simulation(config)
+                      .policies("Baseline", "PnAR2", "NoRR")
+                      .stream(requests)
+                      .condition(pec=2000, months=12.0)
+                      .rpt(rpt)
+                      .run()
+                      .normalized())
         assert normalized["NoRR"] < normalized["PnAR2"] < 1.0
 
 
@@ -74,12 +75,13 @@ class TestImprovementGrowsWithAging:
 
         gains = []
         for pec, months in ((0, 1.0), (1000, 6.0), (2000, 12.0)):
-            results = simulate_policies(["Baseline", "PnAR2"], requests,
-                                        config=config, pe_cycles=pec,
-                                        retention_months=months,
-                                        rpt=default_rpt)
-            normalized = normalized_response_times(
-                {name: result.metrics for name, result in results.items()})
+            normalized = (Simulation(config)
+                          .policies("Baseline", "PnAR2")
+                          .stream(requests)
+                          .condition(pec=pec, months=months)
+                          .rpt(default_rpt)
+                          .run()
+                          .normalized())
             gains.append(1.0 - normalized["PnAR2"])
         assert gains[0] < gains[-1]
         assert gains[-1] > 0.2
@@ -96,9 +98,12 @@ class TestWriteDominantWorkloadStillBenefits:
             return catalog_workload("stg_0", footprint, seed=5,
                                     mean_interarrival_us=500.0).generate(200)
 
-        results = simulate_policies(["Baseline", "PnAR2"], requests,
-                                    config=config, pe_cycles=2000,
-                                    retention_months=6.0, rpt=default_rpt)
+        results = (Simulation(config)
+                   .policies("Baseline", "PnAR2")
+                   .stream(requests)
+                   .condition(pec=2000, months=6.0)
+                   .rpt(default_rpt)
+                   .run())
         baseline_read = results["Baseline"].metrics.mean_response_time_us("read")
         pnar2_read = results["PnAR2"].metrics.mean_response_time_us("read")
         assert pnar2_read < baseline_read

@@ -136,23 +136,20 @@ class TestSimulationBuilder:
                .run())
         assert run.result.metrics.host_writes > 0
 
-    def test_matches_legacy_simulate_policies(self, tiny_ssd_config,
-                                              default_rpt):
-        from repro.ssd.controller import simulate_policies
-
+    def test_workload_spec_matches_stream_factory(self, tiny_ssd_config,
+                                                  default_rpt):
         def factory():
             return catalog_workload("usr_1", int(
                 tiny_ssd_config.logical_pages * 0.8), seed=0).generate(40)
 
-        legacy = simulate_policies(("Baseline", "PnAR2"), factory,
-                                   config=tiny_ssd_config, pe_cycles=1000,
-                                   retention_months=6.0, rpt=default_rpt)
-        new = (Simulation(tiny_ssd_config)
-               .policies("Baseline", "PnAR2")
-               .workload("usr_1", n=40, seed=0)
-               .condition(pec=1000, months=6.0)
-               .rpt(default_rpt)
-               .run())
+        def session():
+            return (Simulation(tiny_ssd_config)
+                    .policies("Baseline", "PnAR2")
+                    .condition(pec=1000, months=6.0)
+                    .rpt(default_rpt))
+
+        streamed = session().stream(factory).run()
+        new = session().workload("usr_1", n=40, seed=0).run()
         for policy in ("Baseline", "PnAR2"):
             assert new[policy].mean_response_time_us == \
-                legacy[policy].mean_response_time_us
+                streamed[policy].mean_response_time_us

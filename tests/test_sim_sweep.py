@@ -57,11 +57,12 @@ class TestSweepResult:
         assert set(cell) == set(POLICIES)
         assert cell["Baseline"].preconditioned_pe_cycles == 1000
 
-    def test_to_grid_matches_legacy_layout(self, serial_result):
-        grid = serial_result.to_grid()
-        assert set(grid) == set(WORKLOADS)
-        assert set(grid["usr_1"]) == {(0, 0.0), (1000, 6.0)}
-        assert set(grid["usr_1"][(1000, 6.0)]) == set(POLICIES)
+    def test_cells_cover_the_grid(self, serial_result):
+        cells = serial_result.cells
+        assert {workload for workload, _, _ in cells} == set(WORKLOADS)
+        assert {(pec, months) for workload, pec, months in cells
+                if workload == "usr_1"} == {(0, 0.0), (1000, 6.0)}
+        assert set(cells[("usr_1", 1000, 6.0)]) == set(POLICIES)
 
     def test_table_renders(self, serial_result):
         text = serial_result.table(max_rows=5)

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.ssd.config import SsdConfig
-from repro.ssd.controller import SsdSimulator, simulate_policies
+from repro.sim import Simulation
+from repro.ssd.controller import SsdSimulator
 from repro.ssd.request import HostRequest, RequestKind
 
 
@@ -91,9 +92,12 @@ class TestPolicyBehaviour:
         def requests():
             return [read(i * 400.0, 7 * i % 200) for i in range(40)]
 
-        results = simulate_policies(["Baseline", "PnAR2", "NoRR"], requests,
-                                    config=config, pe_cycles=1000,
-                                    retention_months=6.0, rpt=default_rpt)
+        results = (Simulation(config)
+                   .policies("Baseline", "PnAR2", "NoRR")
+                   .requests(requests())
+                   .condition(pec=1000, months=6.0)
+                   .rpt(default_rpt)
+                   .run())
         baseline = results["Baseline"].mean_response_time_us
         pnar2 = results["PnAR2"].mean_response_time_us
         norr = results["NoRR"].mean_response_time_us
@@ -103,11 +107,14 @@ class TestPolicyBehaviour:
         def requests():
             return [read(i * 500.0, i) for i in range(20)]
 
-        results = simulate_policies(["Baseline", "PR2", "PnAR2", "NoRR"],
-                                    requests, config=config, pe_cycles=0,
-                                    retention_months=0.0, rpt=default_rpt)
+        results = (Simulation(config)
+                   .policies("Baseline", "PR2", "PnAR2", "NoRR")
+                   .requests(requests())
+                   .condition(pec=0, months=0.0)
+                   .rpt(default_rpt)
+                   .run())
         means = {name: round(result.mean_response_time_us, 3)
-                 for name, result in results.items()}
+                 for name, result in results}
         assert len(set(means.values())) == 1
 
     def test_result_summary_contains_policy(self, config, default_rpt):

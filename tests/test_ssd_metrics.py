@@ -18,8 +18,8 @@ from repro.ssd.metrics import (
 BUCKET_TOLERANCE = 2.0 / SUBBUCKETS_PER_OCTAVE
 
 
-def make_metrics(read_times, write_times=(), record_samples=False):
-    metrics = SimulationMetrics(record_samples=record_samples)
+def make_metrics(read_times, write_times=()):
+    metrics = SimulationMetrics()
     for value in read_times:
         metrics.record_read(value, retry_steps=2)
     for value in write_times:
@@ -104,18 +104,23 @@ class TestRecording:
 
 
 class TestFixedMemoryContract:
-    def test_samples_unavailable_by_default(self):
+    def test_collector_keeps_no_raw_samples(self):
         metrics = make_metrics([1.0, 2.0], [3.0])
         for name in ("read_response_times_us", "write_response_times_us",
-                     "retry_steps_per_read"):
-            with pytest.raises(RuntimeError, match="record_samples=True"):
-                getattr(metrics, name)
+                     "retry_steps_per_read", "record_samples"):
+            assert not hasattr(metrics, name)
+        with pytest.raises(TypeError):
+            SimulationMetrics(record_samples=True)
 
-    def test_record_samples_debug_mode(self):
-        metrics = make_metrics([1.0, 2.0], [3.0], record_samples=True)
-        assert metrics.read_response_times_us == [1.0, 2.0]
-        assert metrics.write_response_times_us == [3.0]
-        assert metrics.retry_steps_per_read == [2, 2]
+    def test_histograms_and_counters_cover_every_sample(self):
+        metrics = make_metrics([1.0, 2.0], [3.0])
+        reads, writes = metrics.read_latency, metrics.write_latency
+        assert (reads.count, reads.min_us, reads.max_us) == (2, 1.0, 2.0)
+        assert reads.total_us == 3.0
+        assert (writes.count, writes.min_us, writes.max_us) == (1, 3.0, 3.0)
+        assert metrics.retry_step_counts == {2: 2}
+        assert metrics.pages_read == 2
+        assert (metrics.host_reads, metrics.host_writes) == (2, 1)
 
     def test_bucket_count_independent_of_sample_count(self):
         rng = np.random.default_rng(0)
@@ -229,17 +234,15 @@ class TestMerge:
             assert left_first.percentile(percentile) == \
                 right_first.percentile(percentile)
 
-    def test_merge_into_sample_keeping_collector_rejected(self):
-        keeper = make_metrics([1.0], record_samples=True)
-        plain = make_metrics([2.0])
-        with pytest.raises(ValueError, match="record_samples"):
-            keeper.merge(plain)
-        # The safe directions still work.
-        plain.merge(keeper)
-        assert plain.host_reads == 2
-        other_keeper = make_metrics([3.0], record_samples=True)
-        keeper.merge(other_keeper)
-        assert keeper.read_response_times_us == [1.0, 3.0]
+    def test_merge_folds_histograms_in_either_direction(self):
+        forward = make_metrics([1.0]).merge(make_metrics([3.0]))
+        backward = make_metrics([3.0]).merge(make_metrics([1.0]))
+        for merged in (forward, backward):
+            reads = merged.read_latency
+            assert (reads.count, reads.min_us, reads.max_us) == (2, 1.0, 3.0)
+            assert reads.total_us == 4.0
+            assert merged.retry_step_counts == {2: 2}
+            assert merged.host_reads == 2
 
     def test_metrics_merge_folds_counters(self):
         first = make_metrics([100.0], [10.0])

@@ -5,7 +5,7 @@ import pytest
 from repro.core.rpt import ReadTimingParameterTable
 from repro.sim import Simulation
 from repro.ssd.config import SsdConfig
-from repro.ssd.controller import SsdSimulator, simulate_policies
+from repro.ssd.controller import SsdSimulator
 from repro.ssd.request import HostRequest, RequestKind
 from repro.workloads.catalog import WORKLOAD_CATALOG, catalog_workload
 
@@ -166,44 +166,47 @@ class TestNoCallerMutation:
         second = _run(config, rpt, requests)
         assert first.metrics.summary() == second.metrics.summary()
 
-    def test_simulate_policies_accepts_plain_sequence(self, config, rpt):
+    @staticmethod
+    def _session(config, rpt, *policies):
+        return (Simulation(config)
+                .policies(*policies)
+                .condition(pec=1000, months=6.0)
+                .rpt(rpt))
+
+    def test_request_list_replays_for_every_policy(self, config, rpt):
         footprint = _footprint(config)
         requests = catalog_workload("usr_1", footprint, seed=4,
                                     mean_interarrival_us=800.0).generate(80)
-        results = simulate_policies(["Baseline", "PnAR2"], requests,
-                                    config=config, pe_cycles=1000,
-                                    retention_months=6.0, rpt=rpt)
+        results = self._session(config, rpt, "Baseline", "PnAR2") \
+            .requests(requests).run()
         assert results["PnAR2"].mean_response_time_us < \
             results["Baseline"].mean_response_time_us
 
-    def test_simulate_policies_factory_matches_sequence(self, config, rpt):
+    def test_stream_factory_matches_request_list(self, config, rpt):
         footprint = _footprint(config)
 
         def factory():
             return catalog_workload("usr_1", footprint, seed=4,
                                     mean_interarrival_us=800.0).iter_requests(80)
 
-        streaming = simulate_policies(["Baseline", "PnAR2"], factory,
-                                      config=config, pe_cycles=1000,
-                                      retention_months=6.0, rpt=rpt)
-        materialized = simulate_policies(
-            ["Baseline", "PnAR2"], list(factory()), config=config,
-            pe_cycles=1000, retention_months=6.0, rpt=rpt)
+        streaming = self._session(config, rpt, "Baseline", "PnAR2") \
+            .stream(factory).run()
+        materialized = self._session(config, rpt, "Baseline", "PnAR2") \
+            .requests(list(factory())).run()
         for policy in ("Baseline", "PnAR2"):
             assert streaming[policy].metrics.summary() == \
                 materialized[policy].metrics.summary()
 
-    def test_simulate_policies_materializes_bare_iterator(self, config, rpt):
+    def test_requests_materializes_bare_iterator(self, config, rpt):
         footprint = _footprint(config)
         iterator = catalog_workload("usr_1", footprint, seed=4,
                                     mean_interarrival_us=800.0).iter_requests(60)
-        results = simulate_policies(["Baseline", "NoRR"], iterator,
-                                    config=config, pe_cycles=1000,
-                                    retention_months=6.0, rpt=rpt)
+        results = self._session(config, rpt, "Baseline", "NoRR") \
+            .requests(iterator).run()
         # Both policies saw the full stream even though the iterator is
         # one-shot (it is drained once, then replayed).
         reads = {name: result.metrics.host_reads
-                 for name, result in results.items()}
+                 for name, result in results}
         assert reads["Baseline"] == reads["NoRR"] > 0
 
 
